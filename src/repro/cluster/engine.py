@@ -5,9 +5,11 @@ SimPy, purpose-built for simulating GPU clusters: processes model CUDA
 streams and collective algorithms, resources model exclusive hardware
 (a compute engine, a link, a NIC).
 
-The engine is deterministic: events scheduled at the same timestamp are
-processed in FIFO order of scheduling, so repeated runs of the same
-simulation produce identical traces.
+The engine is deterministic: work scheduled for the same timestamp runs
+in the order it was scheduled, so repeated runs of the same simulation
+produce identical traces.  Two lanes hold that work: a FIFO deque of
+callbacks due *now* and a heap of timeouts due later; the loop merges
+them by sequence number (see :meth:`Engine.run`).
 
 Example
 -------
@@ -31,7 +33,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+import math
+from collections import deque
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Union,
+)
 
 
 class SimulationError(RuntimeError):
@@ -52,17 +66,32 @@ class Event:
         self.name = name
         self.fired = False
         self.value: Any = None
-        self._callbacks: List[Callable[["Event"], None]] = []
+        #: Callbacks to queue on firing, and joins to count down.
+        self._callbacks: List[Union[Callable[["Event"], None], "AllOf"]] = []
 
     def succeed(self, value: Any = None) -> "Event":
-        """Fire the event, scheduling all callbacks at the current time."""
+        """Fire the event, scheduling all callbacks at the current time.
+
+        An :class:`AllOf` waiting on this event is counted down here
+        without queueing anything; the child that completes the join
+        queues :meth:`AllOf._complete` at its own position, so the join
+        fires in the same order as a queued callback per child would.
+        """
         if self.fired:
             raise SimulationError(f"event {self.name!r} fired twice")
         self.fired = True
         self.value = value
-        for cb in self._callbacks:
-            self.engine._schedule_callback(cb, self)
-        self._callbacks.clear()
+        callbacks = self._callbacks
+        if callbacks:
+            schedule = self.engine._schedule_callback
+            for cb in callbacks:
+                if isinstance(cb, AllOf):
+                    cb._pending -= 1
+                    if cb._pending:
+                        continue
+                    cb = cb._complete
+                schedule(cb, self)
+            callbacks.clear()
         return self
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
@@ -81,31 +110,37 @@ class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
     def __init__(self, engine: "Engine", delay: float, name: str = ""):
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay}")
+        if not 0.0 <= delay < math.inf:
+            kind = "negative" if delay < 0 else "non-finite"
+            raise ValueError(f"{kind} timeout delay: {delay}")
         super().__init__(engine, name or f"timeout({delay:g})")
         engine._schedule_at(engine.now + delay, self)
 
 
 class AllOf(Event):
-    """Fires once every child event has fired."""
+    """Fires once every child event has fired.
+
+    The join registers itself (not a callback) with each unfired child;
+    :meth:`Event.succeed` counts it down and queues :meth:`_complete`
+    once the count reaches zero.
+    """
 
     def __init__(self, engine: "Engine", events: Iterable[Event], name: str = ""):
         super().__init__(engine, name or "all_of")
-        self._pending = 0
         events = list(events)
+        pending = 0
         for ev in events:
             if not ev.fired:
-                self._pending += 1
-                ev.add_callback(self._child_fired)
-        if self._pending == 0:
+                pending += 1
+                ev._callbacks.append(self)
+        self._pending = pending
+        if pending == 0:
             self.succeed([ev.value for ev in events])
         else:
             self._children = events
 
-    def _child_fired(self, _ev: Event) -> None:
-        self._pending -= 1
-        if self._pending == 0 and not self.fired:
+    def _complete(self, _ev: Event) -> None:
+        if not self.fired:
             self.succeed([ev.value for ev in self._children])
 
 
@@ -140,7 +175,7 @@ class Process(Event):
         #: The event this process is currently blocked on (deadlock
         #: diagnostics); ``None`` while runnable or finished.
         self.waiting_on: Optional[Event] = None
-        engine._live_processes.append(self)
+        engine._live_processes[self] = None
         engine._schedule_callback(self._resume, _START)
 
     def _resume(self, ev: Event) -> None:
@@ -151,7 +186,7 @@ class Process(Event):
             else:
                 target = self._gen.send(ev.value)
         except StopIteration as stop:
-            self.engine._live_processes.remove(self)
+            del self.engine._live_processes[self]
             self.succeed(stop.value)
             return
         if not isinstance(target, Event):
@@ -172,20 +207,29 @@ _START = _Sentinel()
 
 
 class Engine:
-    """The event loop: a priority queue of (time, seq, action) triples."""
+    """The event loop over two lanes sharing one sequence counter.
+
+    ``_now_lane`` is a FIFO deque of ``(seq, callback, event)`` entries
+    due at the current time; ``_heap`` is a heap of ``(time, seq, timeout)``
+    entries.  Every entry takes the next sequence number, so the merge
+    in :meth:`run` reproduces a single queue ordered by (time, seq).
+    """
 
     def __init__(self):
         self.now: float = 0.0
-        self._queue: list = []
+        self._now_lane: Deque[tuple] = deque()
+        self._heap: list = []
         self._seq = itertools.count()
-        self._live_processes: List["Process"] = []
+        #: Started, unfinished processes in start order (a dict for O(1)
+        #: removal; the values are unused).
+        self._live_processes: Dict["Process", None] = {}
 
     # -- scheduling ---------------------------------------------------
     def _schedule_at(self, when: float, event: Event) -> None:
-        heapq.heappush(self._queue, (when, next(self._seq), "fire", event, None))
+        heapq.heappush(self._heap, (when, next(self._seq), event))
 
     def _schedule_callback(self, cb: Callable[[Event], None], ev: Event) -> None:
-        heapq.heappush(self._queue, (self.now, next(self._seq), "call", cb, ev))
+        self._now_lane.append((next(self._seq), cb, ev))
 
     # -- public api ---------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -211,8 +255,15 @@ class Engine:
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue; returns the final simulation time.
 
+        Same-timestamp work runs in scheduling order.  The next entry is
+        the head of the now-lane unless the heap's head is due at the
+        current time with a lower sequence number (a zero-delay timeout
+        created before the callback was queued).  The now-lane empties
+        before the clock advances to the heap's next time.
+
         ``until`` caps the simulated time; events past the cap stay
-        queued and ``now`` is advanced to ``until``.
+        queued and ``now`` is advanced to ``until``.  It must be finite
+        and not earlier than ``now``.
 
         Raises :class:`SimulationError` when the queue drains while
         processes are still blocked on events nobody can fire anymore —
@@ -220,20 +271,29 @@ class Engine:
         each is waiting on (an ``until`` cap suppresses the check:
         stopping early legitimately strands in-flight processes).
         """
-        while self._queue:
-            when, _seq, kind, target, arg = self._queue[0]
+        if until is not None and not self.now <= until < math.inf:
+            raise ValueError(
+                f"run(until={until}) must be finite and not before now={self.now}"
+            )
+        now_lane = self._now_lane
+        heap = self._heap
+        while now_lane or heap:
+            if now_lane and not (
+                heap and heap[0][0] == self.now and heap[0][1] < now_lane[0][0]
+            ):
+                _seq, cb, ev = now_lane.popleft()
+                cb(ev)
+                continue
+            when, _seq, event = heap[0]
             if until is not None and when > until:
                 self.now = until
                 return self.now
-            heapq.heappop(self._queue)
+            heapq.heappop(heap)
             if when < self.now:
                 raise SimulationError("time went backwards")
             self.now = when
-            if kind == "fire":
-                if not target.fired:
-                    target.succeed()
-            else:
-                target(arg)
+            if not event.fired:
+                event.succeed()
         if until is None and self._live_processes:
             raise SimulationError(self._deadlock_message())
         return self.now
@@ -272,7 +332,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: List[Event] = []
+        self._waiters: Deque[Event] = deque()
 
     @property
     def in_use(self) -> int:
@@ -294,7 +354,7 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
-            ev = self._waiters.pop(0)
+            ev = self._waiters.popleft()
             ev.succeed(self)
         else:
             self._in_use -= 1

@@ -33,6 +33,14 @@ def test_negative_timeout_rejected():
         eng.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_timeout_rejected(delay):
+    eng = Engine()
+    with pytest.raises(ValueError, match=f"non-finite timeout delay: {delay}"):
+        eng.timeout(delay)
+    assert eng.run() == 0.0
+
+
 def test_run_until_caps_time():
     eng = Engine()
 
@@ -45,6 +53,26 @@ def test_run_until_caps_time():
     # Remaining events still execute on a later full run.
     eng.run()
     assert eng.now == 10.0
+
+
+def test_run_until_before_now_rejected():
+    eng = Engine()
+    eng.timeout(6.0)
+    assert eng.run() == 6.0
+    with pytest.raises(ValueError, match=r"until=3\.0.*now=6\.0"):
+        eng.run(until=3.0)
+    assert eng.now == 6.0
+    assert eng.run(until=6.0) == 6.0
+
+
+@pytest.mark.parametrize("until", [float("nan"), float("inf")])
+def test_run_until_non_finite_rejected(until):
+    eng = Engine()
+    eng.timeout(1.0)
+    with pytest.raises(ValueError, match=f"until={until}"):
+        eng.run(until=until)
+    assert eng.now == 0.0
+    assert eng.run() == 1.0
 
 
 def test_event_fires_once():
@@ -232,6 +260,27 @@ def test_deadlock_message_truncates_long_process_lists():
     message = str(exc.value)
     assert "12 process(es)" in message
     assert "... and 4 more" in message
+
+
+def test_deadlock_message_lists_blocked_processes_in_start_order():
+    eng = Engine()
+    never = eng.event("never")
+
+    def finishes(eng):
+        yield eng.timeout(1.0)
+
+    def blocked(eng):
+        yield never
+
+    for i in range(6):
+        gen = finishes(eng) if i % 2 == 0 else blocked(eng)
+        eng.process(gen, name=f"p{i}")
+    with pytest.raises(SimulationError) as exc:
+        eng.run()
+    message = str(exc.value)
+    assert "3 process(es)" in message
+    assert message.index("'p1'") < message.index("'p3'") < message.index("'p5'")
+    assert "'p0'" not in message
 
 
 def test_run_until_suppresses_deadlock_check():
