@@ -1,20 +1,17 @@
-"""Hot-path micro-benchmark: sparse routing and batched experts.
+"""Hot-path micro-benchmark: capacity-free routing and grouped experts.
 
 Times the MoE numerical hot path — gating, dispatch, combine, expert
 execution, and a full training step (forward + backward) — comparing
-the reference formulations against the optimized defaults:
+the reference formulations against the production path:
 
 * dispatch: ``dense`` GShard einsums over one-hot (T, E, C) masks
-  (``O(T * E * C * M)`` work) vs ``sparse`` index-based
-  gather/scatter (``O(T * k * M)`` work);
-* experts: the per-expert Python ``loop`` over full capacity slices
-  vs the ``batched`` stacked bank (two ``bmm``, occupancy-aware —
-  GEMM work scales with the occupied slot prefix, not E * C);
+  (``O(T * E * C * M)`` work) vs the flat ``dispatch_grouped`` /
+  ``combine_grouped`` pair (``O(T * k * M)`` work, no capacity
+  buffer);
 * capacity-freedom: the ``grouped`` routed step (sort the flat rows
-  by expert, segment-matmul, combine from the flat rows — no
-  (E, C, M) buffer) vs the batched capacity buffer, swept across
-  capacity factors 1..8 — grouped step time must stay ~flat while
-  batched scales with C;
+  by expert, segment-matmul, combine from the flat rows) swept across
+  capacity factors 1..8 — its step time must stay ~flat, because C
+  never enters the hot path;
 * fused routing: the single-sort ``route_fused`` kernel vs the
   legacy chain it replaced (the ``O(T * k * E)`` one-hot-cumsum slot
   assignment, then ``np.nonzero`` + stable argsort + ``bincount`` to
@@ -25,8 +22,8 @@ Both the top-k and the expert-choice gate are timed — the latter
 emits the flat expert-major sparse form, the case that used to fall
 back to the dense einsums.  The training-step row compounds the
 levers: dense dispatch + loop experts (the original reference hot
-path) against sparse dispatch + batched experts (the optimized
-pair; the process-wide expert default is now ``grouped``).
+path) against the process defaults (sparse dispatch + grouped
+experts, the one production path).
 
 The ``overlap`` section sweeps the chunked task-graph executor
 (``pipeline="overlap"``) against the sequential schedule across
@@ -60,10 +57,8 @@ from repro.moe import (
     TopKGate,
     combine,
     combine_grouped,
-    combine_sparse,
     dispatch,
     dispatch_grouped,
-    dispatch_sparse,
 )
 from repro.moe.gating import assign_capacity_slots
 from repro.moe.gating_ec import ExpertChoiceGate
@@ -85,22 +80,10 @@ FULL_STEP = {
     "model_dim": 256,
     "hidden_dim": 512,
 }
-#: Expert-bank acceptance configuration: the loop reference pays for
-#: every one of the C = 4 * T * k / E capacity slots; the batched bank
-#: only for the occupied prefix (~T * k / E under balanced routing).
-FULL_BANK = {
-    "tokens": 4096,
-    "experts": 32,
-    "top_k": 2,
-    "model_dim": 1024,
-    "hidden_dim": 512,
-    "capacity_factor": 4.0,
-}
-#: Grouped-vs-batched acceptance configuration.  At cf=4.0 the gate's
-#: capacity buffer is only ~25% occupied; the batched bank still pays
-#: the (E, C, M) scatter/concatenate traffic for every slot, while the
-#: capacity-free grouped path touches the N routed rows only — its
-#: step time must stay ~flat as cf grows.
+#: Grouped-path configuration.  At cf=8.0 the gate's capacity buffer
+#: would be only ~12% occupied; the capacity-free grouped path touches
+#: the N routed rows only, so its step time must stay ~flat as cf
+#: grows.
 FULL_GROUPED = {
     "tokens": 4096,
     "experts": 32,
@@ -108,7 +91,6 @@ FULL_GROUPED = {
     "model_dim": 1024,
     "hidden_dim": 512,
     "capacity_factors": [1.0, 2.0, 4.0, 8.0],
-    "headline_cf": 4.0,
 }
 #: Fused-routing acceptance configuration: one stable sort over the
 #: (T * k,) flat expert ids vs the legacy chain, whose slot stage
@@ -151,14 +133,6 @@ TINY_STEP = {
     "model_dim": 16,
     "hidden_dim": 32,
 }
-TINY_BANK = {
-    "tokens": 64,
-    "experts": 4,
-    "top_k": 2,
-    "model_dim": 16,
-    "hidden_dim": 32,
-    "capacity_factor": 4.0,
-}
 TINY_GROUPED = {
     "tokens": 64,
     "experts": 4,
@@ -166,7 +140,6 @@ TINY_GROUPED = {
     "model_dim": 16,
     "hidden_dim": 32,
     "capacity_factors": [1.0, 4.0],
-    "headline_cf": 4.0,
 }
 TINY_FUSED = {
     "tokens": 64,
@@ -200,7 +173,7 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def bench_routing(cfg: dict, repeats: int) -> dict:
-    """Gating / dispatch / combine timings in both modes."""
+    """Gating / dispatch / combine timings: dense einsums vs grouped."""
     tokens, experts = cfg["tokens"], cfg["experts"]
     top_k, model_dim = cfg["top_k"], cfg["model_dim"]
     rng = np.random.default_rng(0)
@@ -232,16 +205,11 @@ def bench_routing(cfg: dict, repeats: int) -> dict:
 
     def sparse_roundtrip():
         x.zero_grad()
-        routed = dispatch_sparse(
-            x, out.expert_indices, out.slot_indices, experts, out.capacity
+        rows, routing = dispatch_grouped(
+            x, out.expert_indices, out.slot_indices, experts,
+            plan=out.plan,
         )
-        merged = combine_sparse(
-            routed,
-            out.expert_indices,
-            out.slot_indices,
-            gate_weights,
-            tokens,
-        )
+        merged = combine_grouped(rows, routing, gate_weights, tokens)
         merged.backward(seed)
 
     dense_dc = _best_of(dense_roundtrip, repeats)
@@ -296,22 +264,15 @@ def bench_routing_ec(cfg: dict, repeats: int) -> dict:
 
     def sparse_roundtrip():
         x.zero_grad()
-        routed = dispatch_sparse(
+        rows, routing = dispatch_grouped(
             x,
             out.expert_indices,
             out.slot_indices,
             experts,
-            out.capacity,
             token_indices=out.token_indices,
+            plan=out.plan,
         )
-        merged = combine_sparse(
-            routed,
-            out.expert_indices,
-            out.slot_indices,
-            gate_weights,
-            tokens,
-            token_indices=out.token_indices,
-        )
+        merged = combine_grouped(rows, routing, gate_weights, tokens)
         merged.backward(seed)
 
     dense_dc = _best_of(dense_roundtrip, repeats)
@@ -422,90 +383,15 @@ def bench_fused_routing(cfg: dict, repeats: int) -> dict:
     }
 
 
-def bench_expert_bank(cfg: dict, repeats: int) -> dict:
-    """Batched stacked bank vs per-expert loop (fwd + bwd).
-
-    Routes real tokens through a top-k gate so the batched path sees a
-    realistic occupancy profile, then times just the expert execution
-    on the dispatched capacity buffer.  Asserts bitwise-identical
-    forwards before timing — a speedup over a wrong answer is not a
-    speedup.
-    """
-    rng = np.random.default_rng(0)
-    gate = TopKGate(
-        cfg["model_dim"],
-        cfg["experts"],
-        rng,
-        top_k=cfg["top_k"],
-        capacity_factor=cfg["capacity_factor"],
-    )
-    x = Tensor(
-        rng.standard_normal(
-            (cfg["tokens"], cfg["model_dim"])
-        ).astype(np.float32)
-    )
-    out = gate(x)
-    routed = dispatch_sparse(
-        x, out.expert_indices, out.slot_indices,
-        cfg["experts"], out.capacity,
-    ).detach()
-
-    def make_bank(impl):
-        return Experts(
-            cfg["experts"], cfg["model_dim"], cfg["hidden_dim"],
-            np.random.default_rng(1), expert_impl=impl,
-        )
-
-    loop, batched = make_bank("loop"), make_bank("batched")
-    # Bitwise at occupied slots; the batched path zero-fills the
-    # padding the loop reference runs the FFN on (no combine reads
-    # those slots — every combine weight there is zero).
-    occ = (
-        np.arange(out.capacity)[None, :] < out.expert_load[:, None]
-    )
-    bat = batched(routed, expert_load=out.expert_load).data
-    ref = loop(routed).data
-    np.testing.assert_array_equal(bat[occ], ref[occ])
-    assert not bat[~occ].any()
-    seed = np.ones(routed.data.shape, dtype=np.float32)
-
-    def run(bank, **kwargs):
-        def fn():
-            for p in bank.parameters():
-                p.zero_grad()
-            bank(routed, **kwargs).backward(seed)
-        return fn
-
-    loop_s = _best_of(run(loop), repeats)
-    batched_s = _best_of(
-        run(batched, expert_load=out.expert_load), repeats
-    )
-    return {
-        "config": dict(
-            cfg,
-            capacity=out.capacity,
-            max_fill=int(out.expert_load.max()),
-            occupancy=float(
-                out.expert_load.sum()
-                / (cfg["experts"] * max(out.capacity, 1))
-            ),
-        ),
-        "loop_s": loop_s,
-        "batched_s": batched_s,
-        "speedup": loop_s / batched_s,
-    }
-
-
 def bench_grouped(cfg: dict, repeats: int) -> dict:
-    """Capacity-free grouped path vs the batched capacity buffer.
+    """The capacity-free grouped routed step across capacity factors.
 
     Times the full *routed step* — dispatch, expert execution, combine,
     forward and backward — from the same gate output, across a sweep
-    of capacity factors.  The batched bank's cost scales with the
-    (E, C, M) buffer it must scatter into and concatenate padding for;
-    the grouped path sorts the flat N routed rows once and never sees
-    C, so its row stays ~flat as cf grows.  Outputs are checked close
-    (1e-4 relative) before timing.
+    of capacity factors.  The grouped path sorts the flat N routed
+    rows once and never sees C, so its row stays ~flat as cf grows.
+    Expert outputs are checked bit-identical to the per-expert loop
+    reference on the same rows before timing.
     """
     tokens, experts = cfg["tokens"], cfg["experts"]
     top_k, model_dim = cfg["top_k"], cfg["model_dim"]
@@ -517,7 +403,7 @@ def bench_grouped(cfg: dict, repeats: int) -> dict:
             np.random.default_rng(1), expert_impl=impl,
         )
 
-    batched_bank, grouped_bank = make_bank("batched"), make_bank("grouped")
+    loop_bank, grouped_bank = make_bank("loop"), make_bank("grouped")
     rows_out = []
     for cf in cfg["capacity_factors"]:
         rng = np.random.default_rng(0)
@@ -532,22 +418,8 @@ def bench_grouped(cfg: dict, repeats: int) -> dict:
         gate_weights = out.gate_weights.detach()
         seed = np.ones((tokens, model_dim), dtype=np.float32)
 
-        # Both steps reuse the gate's cached RoutingPlan, exactly as
+        # The step reuses the gate's cached RoutingPlan, exactly as
         # MoELayer's hot path does — no per-step re-sort or kept scan.
-        def batched_step():
-            x.zero_grad()
-            for p in batched_bank.parameters():
-                p.zero_grad()
-            routed = dispatch_sparse(
-                x, out.expert_indices, out.slot_indices, experts,
-                out.capacity, plan=out.plan,
-            )
-            expert_out = batched_bank(routed, expert_load=out.expert_load)
-            combine_sparse(
-                expert_out, out.expert_indices, out.slot_indices,
-                gate_weights, tokens, plan=out.plan,
-            ).backward(seed)
-
         def grouped_step():
             x.zero_grad()
             for p in grouped_bank.parameters():
@@ -563,50 +435,30 @@ def bench_grouped(cfg: dict, repeats: int) -> dict:
                 expert_rows, routing, gate_weights, tokens
             ).backward(seed)
 
-        # Same answers before timing (combine accumulation order may
-        # reassociate, so close, not bitwise).
         flat, routing = dispatch_grouped(
-            x.detach(), out.expert_indices, out.slot_indices, experts
-        )
-        merged_g = combine_grouped(
-            grouped_bank.run_grouped(flat, routing.segment_counts),
-            routing, gate_weights, tokens,
-        )
-        routed = dispatch_sparse(
             x.detach(), out.expert_indices, out.slot_indices, experts,
-            out.capacity,
+            plan=out.plan,
         )
-        merged_b = combine_sparse(
-            batched_bank(routed, expert_load=out.expert_load),
-            out.expert_indices, out.slot_indices, gate_weights, tokens,
-        )
-        np.testing.assert_allclose(
-            merged_g.data, merged_b.data, rtol=1e-4, atol=1e-5
+        np.testing.assert_array_equal(
+            grouped_bank.run_grouped(flat, routing.segment_counts).data,
+            loop_bank.run_segments(flat, routing.segment_counts).data,
         )
 
-        batched_s = _best_of(batched_step, repeats)
-        grouped_s = _best_of(grouped_step, repeats)
         rows_out.append({
             "capacity_factor": cf,
             "capacity": out.capacity,
             "occupancy": float(
                 out.expert_load.sum() / (experts * max(out.capacity, 1))
             ),
-            "batched_s": batched_s,
-            "grouped_s": grouped_s,
-            "speedup": batched_s / grouped_s,
+            "grouped_s": _best_of(grouped_step, repeats),
         })
 
-    headline = next(
-        r for r in rows_out if r["capacity_factor"] == cfg["headline_cf"]
-    )
     grouped_times = [r["grouped_s"] for r in rows_out]
     return {
         "config": {
             k: v for k, v in cfg.items() if k != "capacity_factors"
         },
         "by_capacity_factor": rows_out,
-        "headline": headline,
         # max/min grouped step time across the cf sweep — ~1.0 means
         # the capacity factor really left the hot path.
         "grouped_cf_flatness": max(grouped_times) / min(grouped_times),
@@ -687,13 +539,13 @@ def bench_train_step(cfg: dict, repeats: int) -> dict:
     """One full MoE-layer training step (fwd + loss + bwd) per mode.
 
     ``reference`` is the original hot path (dense einsum dispatch and
-    the per-expert Python loop); ``optimized`` is today's default
-    (sparse index dispatch and the batched expert bank).
+    the per-expert Python loop); ``optimized`` is the process default
+    (sparse dispatch and grouped experts — the production path).
     """
     timings = {}
     modes = {
         "reference": {"dispatch_mode": "dense", "expert_impl": "loop"},
-        "optimized": {"dispatch_mode": "sparse", "expert_impl": "batched"},
+        "optimized": {},
     }
     for mode, layer_kwargs in modes.items():
         rng = np.random.default_rng(7)
@@ -727,14 +579,12 @@ def bench_train_step(cfg: dict, repeats: int) -> dict:
 def run_hotpath(tiny: bool = False, repeats: int = 3) -> dict:
     routing_cfg = TINY if tiny else FULL
     step_cfg = TINY_STEP if tiny else FULL_STEP
-    bank_cfg = TINY_BANK if tiny else FULL_BANK
     grouped_cfg = TINY_GROUPED if tiny else FULL_GROUPED
     fused_cfg = TINY_FUSED if tiny else FULL_FUSED
     overlap_cfg = TINY_OVERLAP if tiny else FULL_OVERLAP
     routing = bench_routing(routing_cfg, repeats)
     routing_ec = bench_routing_ec(routing_cfg, repeats)
     fused = bench_fused_routing(fused_cfg, repeats)
-    bank = bench_expert_bank(bank_cfg, repeats)
     grouped = bench_grouped(grouped_cfg, repeats)
     overlap = bench_overlap(overlap_cfg, repeats)
     step = bench_train_step(step_cfg, repeats)
@@ -744,7 +594,6 @@ def run_hotpath(tiny: bool = False, repeats: int = 3) -> dict:
         "routing": routing,
         "routing_expert_choice": routing_ec,
         "routing_fused": fused,
-        "expert_bank": bank,
         "grouped": grouped,
         "overlap": overlap,
         "train_step": step,
@@ -757,8 +606,6 @@ def run_hotpath(tiny: bool = False, repeats: int = 3) -> dict:
             "ec_dispatch_combine_speedup": routing_ec[
                 "dispatch_combine_fwd_bwd"
             ]["speedup"],
-            "expert_bank_speedup": bank["speedup"],
-            "grouped_vs_batched_speedup": grouped["headline"]["speedup"],
             "grouped_cf_flatness": grouped["grouped_cf_flatness"],
             "train_step_speedup": step["speedup"],
         },
@@ -770,20 +617,12 @@ def render(report: dict) -> str:
     dc = routing["dispatch_combine_fwd_bwd"]
     ec = report["routing_expert_choice"]
     ec_dc = ec["dispatch_combine_fwd_bwd"]
-    bank = report["expert_bank"]
-    bc = bank["config"]
     step = report["train_step"]
     c = routing["config"]
     lines = [
         f"config: T={c['tokens']} E={c['experts']} k={c['top_k']} "
         f"M={c['model_dim']} C={c['capacity']}  ({report['mode']})",
         f"expert-choice C={ec['config']['capacity']}",
-        (
-            f"expert bank: E={bc['experts']} M={bc['model_dim']} "
-            f"H={bc['hidden_dim']} C={bc['capacity']} "
-            f"max_fill={bc['max_fill']} "
-            f"(occupancy {bc['occupancy'] * 100:.0f}%)"
-        ),
         "",
         f"{'section':<26} {'reference':>10} {'optimized':>10} {'speedup':>8}",
         (
@@ -804,30 +643,21 @@ def render(report: dict) -> str:
             f"{ec_dc['speedup']:>7.1f}x"
         ),
         (
-            f"{'experts loop vs batched':<26} "
-            f"{bank['loop_s'] * 1e3:>8.1f}ms "
-            f"{bank['batched_s'] * 1e3:>8.1f}ms "
-            f"{bank['speedup']:>7.1f}x"
-        ),
-        (
             f"{'full training step':<26} "
             f"{step['reference_s'] * 1e3:>8.1f}ms "
             f"{step['optimized_s'] * 1e3:>8.1f}ms "
             f"{step['speedup']:>7.1f}x"
         ),
         "",
-        "grouped (capacity-free) vs batched, routed step f+b:",
-        f"{'cf':>6} {'C':>6} {'occ':>6} {'batched':>10} {'grouped':>10} "
-        f"{'speedup':>8}",
+        "grouped (capacity-free) routed step f+b:",
+        f"{'cf':>6} {'C':>6} {'occ':>6} {'grouped':>10}",
     ]
     grouped = report["grouped"]
     for row in grouped["by_capacity_factor"]:
         lines.append(
             f"{row['capacity_factor']:>6.1f} {row['capacity']:>6d} "
             f"{row['occupancy'] * 100:>5.0f}% "
-            f"{row['batched_s'] * 1e3:>8.1f}ms "
-            f"{row['grouped_s'] * 1e3:>8.1f}ms "
-            f"{row['speedup']:>7.1f}x"
+            f"{row['grouped_s'] * 1e3:>8.1f}ms"
         )
     lines.append(
         f"grouped step-time spread across cf sweep: "
@@ -898,16 +728,11 @@ def write_report(report: dict) -> None:
 def test_hotpath_sparse_speedup(benchmark):
     report = once(benchmark, run_hotpath)
     write_report(report)
-    # Acceptance: index routing is >= 5x faster than the dense einsum
-    # reference for dispatch+combine at T=4096, E=32, k=2, M=1024 —
-    # for the top-k *and* the expert-choice gate; the batched expert
-    # bank beats the per-expert loop >= 3x at E=32, M=1024; the
-    # capacity-free grouped path beats the batched capacity buffer
-    # >= 1.3x on the low-occupancy cf=4.0 config (the margin shrank
-    # from 1.5x when the batched baseline stopped computing the
-    # empty-slot broadcast and its backward — the *baseline* got
-    # faster, grouped step time is unchanged) and stays ~flat
-    # across cf in {1, 2, 4, 8}; the fused single-sort routing
+    # Acceptance: grouped flat-row routing is >= 5x faster than the
+    # dense einsum reference for dispatch+combine at T=4096, E=32,
+    # k=2, M=1024 — for the top-k *and* the expert-choice gate; the
+    # capacity-free grouped routed step stays ~flat across cf in
+    # {1, 2, 4, 8}; the fused single-sort routing
     # kernel beats the legacy one-hot-cumsum chain >= 3x at T=4096,
     # E=32, k=2; the chunked pipeline hides >= 15% of the sync step
     # at the headline partition degree (E=32, M=1024, codec + wire
@@ -916,8 +741,6 @@ def test_hotpath_sparse_speedup(benchmark):
     assert report["acceptance"]["routing_fused_speedup"] >= 3.0
     assert report["acceptance"]["dispatch_combine_speedup"] >= 5.0
     assert report["acceptance"]["ec_dispatch_combine_speedup"] >= 5.0
-    assert report["acceptance"]["expert_bank_speedup"] >= 3.0
-    assert report["acceptance"]["grouped_vs_batched_speedup"] >= 1.3
     assert report["acceptance"]["grouped_cf_flatness"] <= 2.0
     assert report["acceptance"]["overlap_speedup"] >= 1.15
     assert report["acceptance"]["train_step_speedup"] > 1.2
@@ -940,8 +763,6 @@ def main() -> None:
         assert report["acceptance"]["routing_fused_speedup"] >= 3.0
         assert report["acceptance"]["dispatch_combine_speedup"] >= 5.0
         assert report["acceptance"]["ec_dispatch_combine_speedup"] >= 5.0
-        assert report["acceptance"]["expert_bank_speedup"] >= 3.0
-        assert report["acceptance"]["grouped_vs_batched_speedup"] >= 1.3
         assert report["acceptance"]["grouped_cf_flatness"] <= 2.0
         assert report["acceptance"]["overlap_speedup"] >= 1.15
 

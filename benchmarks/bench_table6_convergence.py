@@ -49,14 +49,14 @@ MT_STEPS = 900
 def gradient_fidelity():
     """SNR of each codec on a trained model's live A2A tensors.
 
-    Pinned to the numerics the recorded SNRs were measured under —
-    sparse dispatch + the batched bank, the process defaults at
-    recording time — so the sidecar stays byte-stable as the
-    process-wide execution defaults evolve (grouped reassociates
-    weight-grad reductions, which shifts this chaotic 150-step run).
+    Pinned to the reference numerics — dense dispatch + the per-expert
+    loop, the same pin as the convergence runs above — so the sidecar
+    stays byte-stable as the production path evolves (grouped
+    reassociates weight-grad reductions, which shifts this chaotic
+    150-step run).
     """
     corpus = default_lm_corpus()
-    with default_dispatch_mode("sparse"), default_expert_impl("batched"):
+    with default_dispatch_mode("dense"), default_expert_impl("loop"):
         model = _lm_model("MoE", corpus, "tiny", seed=0)
         train_lm(model, corpus, steps=150, batch_size=16)
         model.zero_grad()

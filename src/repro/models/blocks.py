@@ -35,8 +35,6 @@ def make_ffn(
     compressor: Optional[Compressor] = None,
     activation: str = "relu",
     expert_impl: Optional[str] = None,
-    pipeline: str = "sync",
-    num_chunks: int = 1,
 ) -> Module:
     """Dense fflayer or MoE layer, per the model variant."""
     if not moe:
@@ -51,8 +49,6 @@ def make_ffn(
         compressor=compressor,
         activation=activation,
         expert_impl=expert_impl,
-        pipeline=pipeline,
-        num_chunks=num_chunks,
     )
 
 

@@ -39,8 +39,6 @@ class Seq2SeqTransformer(Module):
         pad_id: int = 0,
         seed: int = 0,
         expert_impl: Optional[str] = None,
-        pipeline: str = "sync",
-        num_chunks: int = 1,
     ):
         super().__init__()
         rng = np.random.default_rng(seed)
@@ -62,8 +60,6 @@ class Seq2SeqTransformer(Module):
                 capacity_factor=capacity_factor,
                 compressor=compressor,
                 expert_impl=expert_impl,
-                pipeline=pipeline,
-                num_chunks=num_chunks,
             )
 
         self.encoder = ModuleList(

@@ -11,10 +11,8 @@ from .dispatch import (
     GroupedRouting,
     combine,
     combine_grouped,
-    combine_sparse,
     dispatch,
     dispatch_grouped,
-    dispatch_sparse,
 )
 from .experts import (
     EXPERT_IMPLS,
@@ -61,10 +59,8 @@ __all__ = [
     "assign_capacity_slots",
     "combine",
     "combine_grouped",
-    "combine_sparse",
     "dispatch",
     "dispatch_grouped",
-    "dispatch_sparse",
     "load_balancing_loss",
     "plan_for_expert_choice",
     "plan_from_indices",

@@ -1,4 +1,4 @@
-"""Expert bank: E independent feed-forward networks, executed batched.
+"""Expert bank: E independent feed-forward networks over stacked weights.
 
 The paper's ``AbsExpert``: experts are ordinary fflayers (two GEMMs),
 abstracted so the profiler can time them, the scheduler can split them
@@ -8,43 +8,28 @@ module stores the whole bank as *stacked* parameters
 * ``w1``: ``(E, M, H)``,  ``b1``: ``(E, 1, H)``
 * ``w2``: ``(E, H, M)``,  ``b2``: ``(E, 1, M)``
 
-and executes all E experts with two batched matmuls
-(:func:`~repro.nn.tensor.bmm`) instead of a Python loop over E
-per-expert modules — the grouped-GEMM move Megatron-Core and
-MegaBlocks make for exactly this loop-of-small-GEMMs pathology.
+Two execution strategies share the parameters:
 
-Three execution strategies share the parameters:
-
-* ``expert_impl="batched"`` — a *reference tier*: two ``bmm`` calls
-  over the bank, *occupancy-aware*: given the gate's per-expert slot
-  counts, only the occupied slot prefix ``[:max_fill]`` of the
-  (E, C, M) capacity buffer enters the GEMMs.  The remaining padding
-  slots are zero-filled — every consumer (sparse and dense combine
-  alike) carries a zero combine weight at unoccupied slots, so the
-  padding values are structurally unobservable downstream.  (An older
-  formulation broadcast the closed-form "empty-slot response"
-  ``fc2(act(b1))`` into the padding to stay bit-identical to running
-  the FFN over every zero row; with ``"grouped"`` the process default
-  that machinery is retired — the loop reference still produces the
-  response at padding slots, so bank-level parity is asserted on the
-  occupied prefix.)  GEMM FLOPs scale with ``E * max_fill`` (~ the
-  routed token count N under balanced routing) instead of ``E * C``.
 * ``expert_impl="grouped"`` (the process default) — *capacity-free*,
   MegaBlocks-style: the flat routed rows, sorted by expert, flow
-  through :func:`~repro.nn.tensor.segment_matmul` — each expert's contiguous
-  row segment multiplies its stacked weight slice, occupied experts
-  only, no capacity dimension anywhere.  :meth:`Experts.run_grouped`
-  is the primitive entry point the MoE layer's grouped hot path and
-  :class:`~repro.moe.parallel.ExpertParallelGroup` use; when handed a
-  capacity-form (E, C, M) buffer (dense dispatch mode, parity tests),
-  :meth:`Experts.forward` gathers the occupied prefix rows, runs them
-  grouped, and scatters them back into a zero buffer — same answers
-  at every occupied slot, buffer only at the boundary.
-* ``expert_impl="loop"`` — the reference: one expert at a time over
-  its full capacity slice, Python-level, kept selectable for parity
-  testing (`tests/moe/test_expert_bank.py` and
+  through :func:`~repro.nn.tensor.segment_matmul` — each expert's
+  contiguous row segment multiplies its stacked weight slice, occupied
+  experts only, no capacity dimension anywhere (the grouped-GEMM move
+  Megatron-Core and MegaBlocks make for the loop-of-small-GEMMs
+  pathology).  :meth:`Experts.run_grouped` is the primitive.
+* ``expert_impl="loop"`` — the reference: one expert at a time,
+  Python-level, kept selectable for parity testing
+  (`tests/moe/test_expert_bank.py` and
   `tests/moe/test_expert_grouped.py` assert bit-equal forwards and
   matching gradients).
+
+Flat sorted rows — what sparse routing ships — go through
+:meth:`Experts.run_segments`, the one place the two strategies fork.
+A capacity-form ``(E, C, M)`` buffer — what dense routing ships —
+goes through :meth:`Experts.forward`: the loop runs every slot of each
+expert's slice, the grouped impl gathers the occupied prefix rows,
+runs them grouped and scatters them back into a zero buffer — same
+answers at every occupied slot, buffer only at the boundary.
 
 Slot occupancy is a prefix by construction: every gate assigns
 capacity slots FCFS from slot 0, so expert e's occupied slots are
@@ -63,7 +48,6 @@ from ..nn.init import xavier_uniform
 from ..nn.modules import Module, Parameter
 from ..nn.tensor import (
     Tensor,
-    bmm,
     concatenate,
     gather,
     scatter_add,
@@ -72,11 +56,11 @@ from ..nn.tensor import (
 )
 
 #: Valid values of the ``expert_impl`` switch.
-EXPERT_IMPLS = ("batched", "grouped", "loop")
+EXPERT_IMPLS = ("grouped", "loop")
 
 # The process-wide default.  Grouped (capacity-free segment GEMMs)
-# has been the hot path since the flat-row dispatch landed; batched
-# and loop remain selectable references.  Override per-bank with
+# has been the hot path since the flat-row dispatch landed; loop
+# remains selectable as the reference.  Override per-bank with
 # ``expert_impl=`` or ambiently with :func:`default_expert_impl`.
 _default_expert_impl = "grouped"
 
@@ -105,7 +89,7 @@ def default_expert_impl(impl: str):
     with ``expert_impl=None`` inside the block pick up ``impl``; an
     explicit argument still wins.  The convergence study uses this to
     pin its chaotic trajectories to the loop reference numerics (the
-    batched and grouped backwards reassociate reductions, so gradients
+    grouped backward reassociates reductions, so gradients
     match only to ~1e-6 — enough to shift a 600-step training run).
     """
     global _default_expert_impl
@@ -119,7 +103,7 @@ def default_expert_impl(impl: str):
 
 
 class Experts(Module):
-    """A bank of E feed-forward experts applied to (E, C, M) input."""
+    """A bank of E feed-forward experts over flat rows or (E, C, M) input."""
 
     def __init__(
         self,
@@ -222,10 +206,9 @@ class Experts(Module):
     def run_expert(self, expert: int, x: Tensor) -> Tensor:
         """Apply one expert's FFN to a (rows, M) tensor.
 
-        Used by :class:`~repro.moe.parallel.ExpertParallelGroup`, where
-        each worker computes only the expert blocks it received, and by
-        the loop reference path.  Gradients flow into the stacked
-        parameters through the slice.
+        The loop reference's unit of work (:meth:`run_segments` and the
+        capacity-form :meth:`forward`).  Gradients flow into the
+        stacked parameters through the slice.
         """
         if not 0 <= expert < self.num_experts:
             raise IndexError(
@@ -270,6 +253,36 @@ class Experts(Module):
         )
         return segment_matmul(h, self.w2, counts) + gather(b2, expert_of_row)
 
+    def run_segments(
+        self, rows: Tensor, segment_counts: np.ndarray
+    ) -> Tensor:
+        """Apply the bank to flat sorted rows with the configured impl.
+
+        The single execution entry for sparse routing — the MoE
+        layer's forward and :class:`~repro.moe.parallel.
+        ExpertParallelGroup` both call it.  ``"grouped"`` is
+        :meth:`run_grouped`; ``"loop"`` runs each occupied segment
+        through :meth:`run_expert` and concatenates the results, a
+        forward bit-identical to the grouped one (per-row GEMM results
+        don't depend on how rows are batched).
+        """
+        if self.expert_impl == "grouped":
+            return self.run_grouped(rows, segment_counts)
+        counts = np.asarray(segment_counts, dtype=np.int64)
+        if int(counts.sum()) != rows.shape[0]:
+            raise ValueError(
+                f"segment_counts sum {int(counts.sum())} != rows "
+                f"{rows.shape[0]}"
+            )
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        outputs = [
+            self.run_expert(int(e), rows[offsets[e] : offsets[e + 1]])
+            for e in np.nonzero(counts)[0]
+        ]
+        if not outputs:
+            return Tensor(np.zeros((0, self.model_dim), dtype=np.float32))
+        return concatenate(outputs, axis=0)
+
     def _validate(self, dispatched: Tensor) -> None:
         if (
             dispatched.ndim != 3
@@ -289,14 +302,13 @@ class Experts(Module):
         """Apply expert e to slice (e, :, :); returns (E, C, M).
 
         ``expert_load`` (optional) is the gate's per-expert occupied
-        slot count — ``GateOutput.expert_load``.  With it, the batched
-        path runs the GEMMs only over the occupied slot prefix (and
-        the grouped path gathers exactly the occupied rows) while the
-        padding slots stay zero — unobservable downstream, since every
-        combine carries a zero weight there; without it, every slot
-        (zero rows included) goes through the GEMMs, which is also
-        what the loop reference does.  Occupied-slot outputs are
-        bit-identical either way.
+        slot count — ``GateOutput.expert_load``.  With it, the grouped
+        path gathers exactly the occupied rows while the padding slots
+        stay zero — unobservable downstream, since every combine
+        carries a zero weight there; without it, every slot (zero rows
+        included) goes through the GEMMs, which is also what the loop
+        reference does.  Occupied-slot outputs are bit-identical
+        either way.
         """
         self._validate(dispatched)
         fill = None
@@ -312,25 +324,7 @@ class Experts(Module):
             for e in range(self.num_experts):
                 outputs.append(self.run_expert(e, dispatched[e]))
             return stack(outputs, axis=0)
-        if self.expert_impl == "grouped":
-            return self._grouped_capacity(dispatched, fill)
-
-        capacity = dispatched.shape[1]
-        active = capacity
-        if fill is not None and capacity > 0:
-            active = int(min(max(fill.max(initial=0), 0), capacity))
-
-        body = dispatched if active == capacity else dispatched[:, :active]
-        h = self._act(bmm(body, self.w1) + self.b1)
-        out = bmm(h, self.w2) + self.b2
-        if active == capacity:
-            return out
-        # Padding slots stay zero: their combine weight is zero in
-        # every consumer, so no FLOPs (and no gradient wiring) are
-        # spent on values nothing can observe.
-        pad_shape = (self.num_experts, capacity - active, self.model_dim)
-        padding = Tensor(np.zeros(pad_shape, dtype=np.float32))
-        return concatenate([out, padding], axis=1)
+        return self._grouped_capacity(dispatched, fill)
 
     def _grouped_capacity(
         self, dispatched: Tensor, fill: Optional[np.ndarray]
@@ -342,8 +336,7 @@ class Experts(Module):
         occupied prefix rows (all ``E * C`` rows when ``fill`` is
         unknown) are gathered into the flat sorted-by-expert form,
         run through :meth:`run_grouped`, and scattered back to their
-        unique ``expert * C + slot`` origins; padding slots stay zero,
-        exactly as the batched path leaves them.
+        unique ``expert * C + slot`` origins; padding slots stay zero.
         """
         num_experts, capacity, model_dim = dispatched.shape
         flat = dispatched.reshape(num_experts * capacity, model_dim)

@@ -26,9 +26,9 @@ C1 A1 D1 E C2 A2 D2 of :mod:`repro.core.tasks` with real work —
   pooled staging buffer (:class:`~repro.nn.buffer_pool.BufferPool`);
 * D1: each destination assembles its received segments into one
   contiguous sorted-by-expert row block;
-* E:  grouped expert execution
-  (:meth:`~repro.moe.experts.Experts.run_grouped`, or the per-expert
-  reference loop under ``expert_impl="loop"``);
+* E:  expert execution over the flat rows
+  (:meth:`~repro.moe.experts.Experts.run_segments`: grouped segment
+  GEMMs, or the per-expert reference loop under ``expert_impl="loop"``);
 * C2: split results back per source, in payload row order;
 * A2: the combine all-to-all (codec + pooled memcpy);
 * D2: the owner merges the chunk's results into its output rows, in
@@ -164,7 +164,11 @@ class ExpertParallelGroup:
         self.pipeline = validate_pipeline(pipeline)
         self.num_chunks = int(num_chunks)
         self._executor = StreamExecutor(scheduler)
-        self._pool = BufferPool()
+        # The A2A staging pool.  Every buffer a forward takes comes back
+        # by the forward's end, so a key's free list never outgrows one
+        # forward's peak demand — and capping it below that peak would
+        # make every forward miss on the overflow.
+        self._pool = BufferPool(max_per_key=None)
         #: Per-task (start, end) seconds of the most recent chunked
         #: forward (both pipeline modes), for overlap introspection.
         self.last_timeline: Optional[dict] = None
@@ -381,13 +385,15 @@ class ExpertParallelGroup:
     def forward_inference(self, shards: List[np.ndarray]) -> List[np.ndarray]:
         """Forward-only distributed pass on the arena fast path.
 
-        Runs :meth:`forward` under ``inference_mode()`` with an arena
-        that *shares* the group's A2A staging :class:`BufferPool`, so
-        expert-output rows, per-chunk assembly blocks and the
-        per-worker output buffers all recycle through the same free
-        lists as the staging copies.  Bit-identical to the plain
-        sparse-path :meth:`forward` (with the borrowed layer in
-        ``eval()``).
+        Runs :meth:`forward` under ``inference_mode()`` with a
+        step-scoped arena, so expert-output rows, per-chunk assembly
+        blocks and the per-worker output buffers recycle across steps.
+        The arena has its own :class:`BufferPool`: its buffers are
+        taken on the computing stream, the A2A staging copies on the
+        communication stream, and one shared free list would let the
+        streams' interleaving decide who gets a recycled buffer.
+        Bit-identical to the plain sparse-path :meth:`forward` (with
+        the borrowed layer in ``eval()``).
 
         The returned per-worker output arrays are arena-owned: they
         stay valid until the next ``forward_inference`` call resets
@@ -401,7 +407,9 @@ class ExpertParallelGroup:
             )
         arena = getattr(self, "_inference_arena", None)
         if arena is None:
-            arena = self._inference_arena = Arena(pool=self._pool)
+            arena = self._inference_arena = Arena(
+                pool=BufferPool(max_per_key=None)
+            )
         was_training = self.layer.training
         if was_training:
             self.layer.eval()
@@ -489,6 +497,16 @@ class ExpertParallelGroup:
         pending_return: Dict[int, list] = {}
         returned: Dict[tuple, list] = {}
         return_map: Dict[tuple, np.ndarray] = {}
+        # Staging buffers go back to the pool on the communication
+        # stream, which takes them, at points its own task order fixes:
+        # chunk c's A1 buffers when A2 of chunk c starts (D1 of chunk
+        # c, their reader, precedes it in the chain), the A2 buffers
+        # after the last task.  Released from the computing stream as
+        # soon as D1/D2 drained them, a buffer could be back in time
+        # for the next A1 or not, and the pool's size would depend on
+        # thread interleaving.
+        dispatch_staged: Dict[int, list] = {}
+        combine_staged: List[np.ndarray] = []
 
         def compress_dispatch(c: int) -> None:
             """C1: per-source flat payloads for the chunk's tokens.
@@ -538,6 +556,7 @@ class ExpertParallelGroup:
             wire_bytes = 0
             for src, dst, rows, counts in pending_dispatch.pop(c):
                 buf = pool.take_copy(self._apply_codec(rows))
+                dispatch_staged.setdefault(c, []).append(buf)
                 dispatch_traffic[src, dst] += buf.nbytes
                 if src != dst:
                     wire_bytes += buf.nbytes
@@ -582,34 +601,15 @@ class ExpertParallelGroup:
                     for i in range(len(entries))
                 ]
                 assembled[(c, dst)] = (rows, counts_full, back_index)
-                for _, buf, _ in entries:
-                    pool.release(buf)
 
         def run_experts(c: int) -> None:
-            """E: grouped (or reference loop) expert execution."""
+            """E: the bank's flat-row execution (grouped or loop)."""
             for dst in workers:
                 item = assembled.pop((c, dst), None)
                 if item is None:
                     continue
                 rows, counts_full, back_index = item
-                if experts.expert_impl == "loop":
-                    outs, offset = [], 0
-                    for e in hosted[dst]:
-                        n = int(counts_full[e])
-                        if n == 0:
-                            continue
-                        outs.append(
-                            experts.run_expert(
-                                int(e),
-                                Tensor(rows[offset : offset + n]),
-                            ).data
-                        )
-                        offset += n
-                    out_rows = np.concatenate(outs, axis=0)
-                else:
-                    out_rows = experts.run_grouped(
-                        Tensor(rows), counts_full
-                    ).data
+                out_rows = experts.run_segments(Tensor(rows), counts_full).data
                 expert_out[(c, dst)] = (out_rows, back_index)
 
         def compress_combine(c: int) -> None:
@@ -626,9 +626,12 @@ class ExpertParallelGroup:
 
         def a2a_combine(c: int) -> None:
             """A2: codec roundtrip + pooled memcpy back to the owner."""
+            for buf in dispatch_staged.pop(c, ()):
+                pool.release(buf)
             wire_bytes = 0
             for dst, src, rows in pending_return.pop(c):
                 buf = pool.take_copy(self._apply_codec(rows))
+                combine_staged.append(buf)
                 combine_traffic[dst, src] += buf.nbytes
                 if src != dst:
                     wire_bytes += buf.nbytes
@@ -644,7 +647,6 @@ class ExpertParallelGroup:
                 contrib = scratch_zeros((sel.size, model_dim))
                 for dst, buf in returned.pop((c, w), []):
                     contrib[return_map.pop((c, w, dst))] = buf
-                    pool.release(buf)
                 # Accumulate in the gate's original assignment order:
                 # bit-identical to the unchunked merge because every
                 # contribution to one token lives in this chunk, in
@@ -677,6 +679,8 @@ class ExpertParallelGroup:
             self.last_timeline = self._executor.run(r, fns)
         else:
             self.last_timeline = run_inline(r, fns)
+        for buf in combine_staged:
+            pool.release(buf)
 
         self.last_dispatch_traffic = A2ATraffic(dispatch_traffic)
         self.last_combine_traffic = A2ATraffic(combine_traffic)
@@ -730,10 +734,9 @@ class ExpertParallelGroup:
                 inbox[dst][src][expert] = payload
         self.last_dispatch_traffic = A2ATraffic(dispatch_traffic)
 
-        # Local expert computation on every worker, one grouped pass
+        # Local expert computation on every worker: one flat-row pass
         # over the received blocks sorted by expert (sources stay in
-        # rank order within each expert); ``expert_impl="loop"`` keeps
-        # the one-block-at-a-time reference path.
+        # rank order within each expert).
         outbox = [[None] * self.num_workers for _ in workers]  # [src][dst]
         combine_traffic = np.zeros((self.num_workers, self.num_workers))
         for w in workers:
@@ -748,19 +751,14 @@ class ExpertParallelGroup:
                     entries.append((expert, src, block))
             entries.sort(key=lambda item: item[0])
             results = [{} for _ in workers]  # per src
-            if experts.expert_impl == "loop":
-                for expert, src, block in entries:
-                    out = experts.run_expert(expert, Tensor(block)).data
-                    results[src][expert] = self._apply_codec(out)
-                    combine_traffic[w, src] += results[src][expert].nbytes
-            elif entries:
+            if entries:
                 counts = np.zeros(num_experts, dtype=np.int64)
                 for expert, _, block in entries:
                     counts[expert] += block.shape[0]
                 rows = np.concatenate(
                     [block for _, _, block in entries], axis=0
                 )
-                out_rows = experts.run_grouped(Tensor(rows), counts).data
+                out_rows = experts.run_segments(Tensor(rows), counts).data
                 offset = 0
                 for expert, src, block in entries:
                     out = out_rows[offset : offset + block.shape[0]]

@@ -36,7 +36,6 @@ from .serialization import (
 from .tensor import (
     Tensor,
     active_arena,
-    bmm,
     concatenate,
     einsum,
     gather,
@@ -69,7 +68,6 @@ __all__ = [
     "Sequential",
     "Tensor",
     "active_arena",
-    "bmm",
     "WarmupInverseSqrt",
     "clip_grad_norm",
     "concatenate",

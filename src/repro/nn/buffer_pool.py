@@ -10,11 +10,10 @@ instead.  :class:`BufferPool` is that staging area: ``acquire`` hands
 out a cached array of the requested shape/dtype when one is free and
 allocates otherwise, ``release`` returns it for reuse.
 
-The pool is thread-safe — the overlap executor acquires from the
-communication stream while the computing stream releases buffers it
-has drained — and deliberately dumb: exact (shape, dtype) matching,
-bounded per-key free list, no zeroing (callers always overwrite the
-full buffer via ``np.copyto``-style writes before reading).
+The pool is thread-safe — any thread may acquire and release — and
+deliberately dumb: exact (shape, dtype) matching, bounded per-key free
+list, no zeroing (callers always overwrite the full buffer via
+``np.copyto``-style writes before reading).
 
 :class:`Arena` layers a *step-scoped* discipline on top: every buffer
 it hands out stays checked out until :meth:`Arena.reset`, which
@@ -41,6 +40,9 @@ class BufferPool:
     ``max_per_key`` bounds how many idle buffers of one shape are
     retained; extra releases drop the array back to the allocator so a
     pathological shape mix cannot grow the pool without bound.
+    ``None`` retains every release — for owners that get every buffer
+    back by the end of each step, whose free lists are then bounded by
+    one step's peak demand per shape.
 
     The pool keeps running counters — ``hits`` / ``misses`` (acquires
     served from the free list vs. fresh allocations), ``bytes_held``
@@ -52,8 +54,8 @@ class BufferPool:
     step.
     """
 
-    def __init__(self, max_per_key: int = 16):
-        if max_per_key < 1:
+    def __init__(self, max_per_key: Optional[int] = 16):
+        if max_per_key is not None and max_per_key < 1:
             raise ValueError(f"max_per_key must be >= 1, got {max_per_key}")
         self.max_per_key = max_per_key
         self._free: Dict[Tuple[tuple, np.dtype], List[np.ndarray]] = {}
@@ -121,7 +123,7 @@ class BufferPool:
         key = self._key(array.shape, array.dtype)
         with self._lock:
             free = self._free.setdefault(key, [])
-            if len(free) < self.max_per_key:
+            if self.max_per_key is None or len(free) < self.max_per_key:
                 free.append(array)
                 self._bytes_held += array.nbytes
 

@@ -24,7 +24,7 @@ walking an empty tape.
 **Arenas.**  :func:`use_arena` installs a step-scoped scratch
 allocator (:class:`~repro.nn.buffer_pool.Arena`).  While *both* an
 arena is active and inference mode is on, the large-output kernels
-below (`matmul`, `gather`, `scatter_add`, `bmm`, `segment_matmul`,
+below (`matmul`, `gather`, `scatter_add`, `segment_matmul`,
 `concatenate`, elementwise add/mul) write their results into pooled
 buffers via ``out=`` instead of fresh allocations, so a steady-state
 forward loop stops allocating entirely after its first step.  Arena
@@ -34,7 +34,6 @@ valid until then and must be copied if they need to live longer.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -728,93 +727,11 @@ def scatter_add(
     return values._make(out, (values,), backward)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable batched 3D matmul: ``(B, n, k) @ (B, k, m)``.
-
-    One tape node for the whole bank of B independent GEMMs — this is
-    what lets the MoE expert bank execute all E experts in two calls
-    instead of an E-iteration Python loop (E tape nodes, E closures, E
-    gradient allocations).  Shapes are strict: both operands must be
-    3-d with matching batch and inner dimensions — no broadcasting —
-    so the backward pass is two plain batched matmuls with no
-    unbroadcast bookkeeping:
-
-    * ``grad_a = g @ b^T``  (batched over B)
-    * ``grad_b = a^T @ g``  (batched over B)
-
-    Numerically identical (bit-for-bit) to stacking the per-slice 2-d
-    ``a[i] @ b[i]`` products: numpy dispatches the same GEMM kernel
-    per batch slice.
-    """
-    a = Tensor._lift(a)
-    b = Tensor._lift(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ValueError(
-            f"bmm expects 3-d operands, got {a.shape} and {b.shape}"
-        )
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"bmm batch dimensions differ: {a.shape[0]} vs {b.shape[0]}"
-        )
-    if a.shape[2] != b.shape[1]:
-        raise ValueError(
-            f"bmm inner dimensions differ: {a.shape} @ {b.shape}"
-        )
-    data = np.matmul(
-        a.data,
-        b.data,
-        out=_arena_out((a.shape[0], a.shape[1], b.shape[2]))
-        if _inference_mode
-        else None,
-    )
-
-    def backward(g):
-        return (
-            (a, np.matmul(g, np.swapaxes(b.data, -1, -2))),
-            (b, np.matmul(np.swapaxes(a.data, -1, -2), g)),
-        )
-
-    if Tensor._needs_grad(a, b):
-        return Tensor(data, _parents=(a, b), _backward=backward)
-    return Tensor(data)
-
-
 #: Largest per-segment LHS block (rows * K elements) that still gains
 #: from the stacked-GEMM bucket path: beyond ~16 KB of float32 the
 #: fancy-index gather costs more than the per-call overhead it saves
 #: (measured on the bench shapes; 2-d BLAS on a contiguous slice wins).
 _BUCKET_ROW_ELEMS = 4096
-
-#: Environment variable overriding :data:`_BUCKET_ROW_ELEMS` — the
-#: threshold was measured on a single core, so it can be revisited on
-#: other hardware without a code edit.
-BUCKET_ROW_ELEMS_ENV = "REPRO_BUCKET_ROW_ELEMS"
-
-
-def bucket_row_elems() -> int:
-    """The bucketing threshold: ``REPRO_BUCKET_ROW_ELEMS`` or the default.
-
-    Read per :func:`segment_matmul` call so a change takes effect
-    immediately.  An unparseable or negative override raises instead
-    of silently falling back — a typo'd knob must not quietly move
-    every segment on or off the bucket path (``0`` is valid and
-    disables bucketing; a huge value buckets everything).
-    """
-    env = os.environ.get(BUCKET_ROW_ELEMS_ENV)
-    if env is None:
-        return _BUCKET_ROW_ELEMS
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{BUCKET_ROW_ELEMS_ENV} must be an integer element "
-            f"count, got {env!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(
-            f"{BUCKET_ROW_ELEMS_ENV} must be >= 0, got {value}"
-        )
-    return value
 
 
 def segment_matmul(
@@ -848,24 +765,22 @@ def segment_matmul(
     * ``grad_w[e]     = x[seg_e]^T @ g[seg_e]``  (zero for empty
       segments)
 
-    — so one tape node covers the whole bank, like :func:`bmm`, but
-    over ragged row groups instead of a fixed capacity dimension.
+    — so one tape node covers the whole bank, over ragged row groups
+    instead of a fixed capacity dimension.
 
     With ``bucketed=True`` (the default), occupied *small* segments of
     equal length are batched into one stacked ``np.matmul`` per size
     bucket — forward and backward — so balanced large-E routing (many
     small equal segments, the worst case for per-segment Python
     dispatch) pays one GEMM call per distinct size instead of one per
-    expert.  Batched matmul computes each slice exactly as the
-    corresponding 2-d product (see :func:`bmm`), so results are
-    bit-identical to the unbucketed loop, which ``bucketed=False``
+    expert.  Batched ``np.matmul`` computes each slice exactly as the
+    corresponding 2-d product (numpy dispatches the same GEMM kernel
+    per batch slice), so results are bit-identical to the unbucketed loop, which ``bucketed=False``
     keeps selectable as the parity reference.  Bucketing only pays
     when the per-call dispatch overhead it removes exceeds the row
     gather it adds, i.e. for segments whose LHS block is small —
-    segments above the :func:`bucket_row_elems` threshold
-    (``_BUCKET_ROW_ELEMS``, overridable via the
-    ``REPRO_BUCKET_ROW_ELEMS`` environment variable; see
-    :func:`bucket_row_elems`) and singleton buckets, which have
+    segments above the ``_BUCKET_ROW_ELEMS`` threshold and singleton
+    buckets, which have
     nothing to batch, stay on the plain per-segment GEMM, where 2-d
     BLAS on a contiguous slice is already optimal.
     """
@@ -903,13 +818,12 @@ def segment_matmul(
     batched = []
     singles = occupied
     if bucketed and occupied.size:
-        threshold = bucket_row_elems()
         by_size = {}
         for e in occupied:
             by_size.setdefault(int(counts[e]), []).append(int(e))
         singles = []
         for length, experts in sorted(by_size.items()):
-            if len(experts) == 1 or length * x.shape[1] > threshold:
+            if len(experts) == 1 or length * x.shape[1] > _BUCKET_ROW_ELEMS:
                 singles.extend(experts)
                 continue
             experts = np.asarray(experts)

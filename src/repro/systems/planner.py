@@ -216,9 +216,11 @@ class PlanCandidate:
 def layer_recommendation(partitions: int) -> dict:
     """Numerical-substrate knobs implied by the winning degree.
 
-    ``grouped`` + ``sparse`` dominate every measured configuration
-    (BENCH_hotpath.json); pipelined overlap only exists for r > 1 and
-    the chunk count mirrors the timing substrate's partition degree.
+    ``grouped`` + ``sparse`` is the layer's one production path (the
+    ``MoELayer`` settings); ``pipeline`` and ``num_chunks`` are
+    :class:`~repro.moe.parallel.ExpertParallelGroup` settings —
+    pipelined overlap only exists for r > 1, and the chunk count
+    mirrors the timing substrate's partition degree.
     """
     return {
         "expert_impl": "grouped",

@@ -135,10 +135,10 @@ def run_lm_convergence(
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
     # The recorded Table 6 trajectories are measured on the dense
-    # dispatch backend with the per-expert loop; the sparse backend
-    # and the batched expert bank both reassociate reductions, which
-    # shifts chaotic training runs, so the study is pinned to the
-    # reference numerics on both axes.  (The trajectories were still
+    # dispatch backend with the per-expert loop; the production path
+    # (sparse flat-row dispatch + grouped experts) reassociates
+    # reductions, which shifts chaotic training runs, so the study is
+    # pinned to the reference numerics on both axes.  (The trajectories were still
     # re-recorded once when the bank's stacked parameter layout
     # landed: global-norm clipping now sums each stacked grad in one
     # reduction instead of per-expert pieces.)

@@ -57,9 +57,9 @@ def test_measure_fidelity_aggregates(rng):
 
 
 def test_collect_a2a_tensors_from_layer(rng):
-    # Pinned to the batched bank: its A2A payload is the capacity
+    # Pinned to dense dispatch: its A2A payload is the capacity
     # buffer, so the activation snapshot leads with the expert dim.
-    layer = MoELayer(16, 24, 4, rng, expert_impl="batched")
+    layer = MoELayer(16, 24, 4, rng, dispatch_mode="dense")
     x = Tensor(
         rng.standard_normal((12, 16)).astype(np.float32), requires_grad=True
     )

@@ -1,7 +1,7 @@
-"""Sparse index routing must match the dense einsum reference exactly.
+"""Sparse flat-row routing must match the dense einsum reference.
 
-The sparse backend (``dispatch_mode="sparse"``) is a pure
-reformulation of the GShard einsums — same outputs, same gradients —
+The sparse backend (``dispatch_mode="sparse"``: ``dispatch_grouped`` ->
+experts -> ``combine_grouped``) is a pure reformulation of the GShard einsums — same outputs, same gradients —
 so every case here checks both the forward values and the parameter /
 input gradients against the dense path, including the edge cases the
 index arithmetic could plausibly get wrong: dropped tokens (capacity
@@ -15,9 +15,9 @@ from repro.moe import (
     MoELayer,
     TopKGate,
     combine,
-    combine_sparse,
+    combine_grouped,
     dispatch,
-    dispatch_sparse,
+    dispatch_grouped,
 )
 from repro.nn import Tensor
 
@@ -92,23 +92,19 @@ def test_zero_token_expert(rng):
     assert np.asarray(out.expert_load)[1:].sum() == 0
 
     routed_dense = dispatch(x, out.dispatch_mask)
-    routed_sparse = dispatch_sparse(
-        x, out.expert_indices, out.slot_indices, 4, out.capacity
+    rows, routing = dispatch_grouped(
+        x, out.expert_indices, out.slot_indices, 4
     )
+    # Idle experts get empty segments; expert 0's segment holds the
+    # same rows as its capacity slots.
+    np.testing.assert_array_equal(routing.segment_counts, [6, 0, 0, 0])
     np.testing.assert_allclose(
-        routed_sparse.data, routed_dense.data, rtol=1e-6
+        rows.data, routed_dense.data[0, :6], rtol=1e-6
     )
-    # Idle experts' buffers are exactly zero.
-    assert np.all(routed_sparse.data[1:] == 0.0)
 
+    # Run the "experts" as the identity on both sides.
     merged_dense = combine(routed_dense, out.combine_weights)
-    merged_sparse = combine_sparse(
-        routed_sparse,
-        out.expert_indices,
-        out.slot_indices,
-        out.gate_weights,
-        6,
-    )
+    merged_sparse = combine_grouped(rows, routing, out.gate_weights, 6)
     np.testing.assert_allclose(
         merged_sparse.data, merged_dense.data, rtol=1e-5, atol=1e-6
     )
@@ -151,14 +147,14 @@ def test_dispatch_sparse_rejects_shape_mismatch(rng):
     expert_idx = np.zeros((4, 2), dtype=np.int64)
     slot_idx = np.zeros((4, 1), dtype=np.int64)
     with pytest.raises(ValueError):
-        dispatch_sparse(x, expert_idx, slot_idx, 4, 2)
+        dispatch_grouped(x, expert_idx, slot_idx, 4)
 
 
 def test_flat_routing_requires_token_indices(rng):
     x = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
     flat = np.zeros(3, dtype=np.int64)
     with pytest.raises(ValueError, match="token_indices"):
-        dispatch_sparse(x, flat, flat, 4, 2)
+        dispatch_grouped(x, flat, flat, 4)
 
 
 def test_flat_form_matches_token_major_form(rng):
@@ -169,26 +165,24 @@ def test_flat_form_matches_token_major_form(rng):
     )
     out = gate(x.detach())
 
-    routed_tk = dispatch_sparse(
-        x, out.expert_indices, out.slot_indices, 4, out.capacity
+    rows_tk, routing_tk = dispatch_grouped(
+        x, out.expert_indices, out.slot_indices, 4
     )
     # Flatten (T, k) row-major: token t repeats k times.
     t_ids = np.repeat(np.arange(10), 2)
     e_flat = out.expert_indices.reshape(-1)
     s_flat = out.slot_indices.reshape(-1)
     w_flat = out.gate_weights.reshape(-1)
-    routed_flat = dispatch_sparse(
-        x, e_flat, s_flat, 4, out.capacity, token_indices=t_ids
+    rows_flat, routing_flat = dispatch_grouped(
+        x, e_flat, s_flat, 4, token_indices=t_ids
     )
-    np.testing.assert_array_equal(routed_flat.data, routed_tk.data)
+    np.testing.assert_array_equal(rows_flat.data, rows_tk.data)
+    np.testing.assert_array_equal(
+        routing_flat.segment_counts, routing_tk.segment_counts
+    )
 
-    merged_tk = combine_sparse(
-        routed_tk, out.expert_indices, out.slot_indices,
-        out.gate_weights, 10,
-    )
-    merged_flat = combine_sparse(
-        routed_flat, e_flat, s_flat, w_flat, 10, token_indices=t_ids
-    )
+    merged_tk = combine_grouped(rows_tk, routing_tk, out.gate_weights, 10)
+    merged_flat = combine_grouped(rows_flat, routing_flat, w_flat, 10)
     np.testing.assert_allclose(
         merged_flat.data, merged_tk.data, rtol=1e-6, atol=1e-7
     )

@@ -1,17 +1,17 @@
-"""Parity suite for the batched expert bank.
+"""Parity suite for the expert bank's capacity-form execution.
 
-The batched execution path (two ``bmm`` over stacked parameters, with
-the occupancy shortcut) must be indistinguishable from the per-expert
-loop reference *at every occupied slot*: bit-exact forward outputs
-and gradients matching to 1e-6 (the occupancy shortcut re-associates
-a few reductions, so the last bits of parameter gradients may
-legitimately differ).  Padding slots are zero-filled by the batched
-path — the loop reference runs the FFN on the zero rows and produces
-``fc2(act(b1))`` there instead — but every combine carries a zero
-weight at unoccupied slots, so parity is asserted on the occupied
-prefix plus zero padding (and end-to-end through the layer, where the
-impls agree everywhere).  Also covers the per-expert <-> stacked
-checkpoint layout conversion.
+The grouped bank handed an (E, C, M) capacity buffer (dense dispatch,
+fidelity studies) must be indistinguishable from the per-expert loop
+reference *at every occupied slot*: bit-exact forward outputs and
+gradients matching to 1e-6 (the segment GEMMs re-associate a few
+reductions, so the last bits of parameter gradients may legitimately
+differ).  Padding slots are zero-filled by the grouped path when the
+gate's occupancy is known — the loop reference runs the FFN on the
+zero rows and produces ``fc2(act(b1))`` there instead — but every
+combine carries a zero weight at unoccupied slots, so parity is
+asserted on the occupied prefix plus zero padding (and end-to-end
+through the layer, where the impls agree everywhere).  Also covers the
+per-expert <-> stacked checkpoint layout conversion.
 """
 
 import numpy as np
@@ -29,16 +29,16 @@ from repro.nn import (
 
 
 def make_pair(num_experts, model_dim, hidden_dim, seed=0):
-    """The same seeded bank twice: loop reference and batched."""
+    """The same seeded bank twice: loop reference and grouped."""
     loop = Experts(
         num_experts, model_dim, hidden_dim,
         np.random.default_rng(seed), expert_impl="loop",
     )
-    batched = Experts(
+    grouped = Experts(
         num_experts, model_dim, hidden_dim,
-        np.random.default_rng(seed), expert_impl="batched",
+        np.random.default_rng(seed), expert_impl="grouped",
     )
-    return loop, batched
+    return loop, grouped
 
 
 def make_dispatched(rng, num_experts, capacity, model_dim, fill):
@@ -65,47 +65,47 @@ def occupied_mask(E, C, fill):
 
 @pytest.mark.parametrize("E,C,M,H,fill", CASES)
 def test_forward_bitwise_parity(rng, E, C, M, H, fill):
-    loop, batched = make_pair(E, M, H)
+    loop, grouped = make_pair(E, M, H)
     x, load = make_dispatched(rng, E, C, M, fill)
     ref = loop(Tensor(x))
     occ = occupied_mask(E, C, fill)
     # Occupancy-aware path: bitwise at occupied slots, zeros in the
     # padding (the loop runs the FFN on the zero rows instead; no
     # combine ever reads those slots).
-    out = batched(Tensor(x), expert_load=load).data
+    out = grouped(Tensor(x), expert_load=load).data
     np.testing.assert_array_equal(out[occ], ref.data[occ])
     np.testing.assert_array_equal(
         out[~occ], np.zeros_like(out[~occ])
     )
     # Without occupancy info every slot runs the GEMMs: bitwise
     # everywhere, padding included.
-    np.testing.assert_array_equal(batched(Tensor(x)).data, ref.data)
+    np.testing.assert_array_equal(grouped(Tensor(x)).data, ref.data)
 
 
 @pytest.mark.parametrize("E,C,M,H,fill", CASES)
 def test_gradient_parity(rng, E, C, M, H, fill):
-    loop, batched = make_pair(E, M, H)
+    loop, grouped = make_pair(E, M, H)
     x, load = make_dispatched(rng, E, C, M, fill)
     occupied = occupied_mask(E, C, fill)
     # Loss over the occupied slots only — what any combine reads.
     # (An unmasked loss would feed the loop's padding-slot responses
     # into its parameter gradients, a contribution no real consumer
-    # ever creates and the zero-padded batched path never computes.)
+    # ever creates and the zero-padded grouped path never computes.)
     mask = Tensor(occupied[:, :, None].astype(np.float32))
 
     x_loop = Tensor(x, requires_grad=True)
     ((loop(x_loop) * mask) ** 2).sum().backward()
-    x_bat = Tensor(x.copy(), requires_grad=True)
-    ((batched(x_bat, expert_load=load) * mask) ** 2).sum().backward()
+    x_grp = Tensor(x.copy(), requires_grad=True)
+    ((grouped(x_grp, expert_load=load) * mask) ** 2).sum().backward()
 
     # Input gradients at occupied slots (padding rows get zero
     # gradient under the masked loss in both impls).
     np.testing.assert_allclose(
-        x_bat.grad[occupied], x_loop.grad[occupied], atol=1e-6
+        x_grp.grad[occupied], x_loop.grad[occupied], atol=1e-6
     )
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_allclose(
-            getattr(batched, name).grad,
+            getattr(grouped, name).grad,
             getattr(loop, name).grad,
             atol=1e-6,
             err_msg=name,
@@ -117,29 +117,29 @@ def test_moe_layer_end_to_end_parity(rng):
     kwargs = dict(top_k=2, capacity_factor=1.5)
     loop = MoELayer(8, 16, 4, np.random.default_rng(3),
                     expert_impl="loop", **kwargs)
-    batched = MoELayer(8, 16, 4, np.random.default_rng(3),
-                       expert_impl="batched", **kwargs)
+    grouped = MoELayer(8, 16, 4, np.random.default_rng(3),
+                       expert_impl="grouped", **kwargs)
     x = rng.standard_normal((12, 8)).astype(np.float32)
 
     x_loop = Tensor(x, requires_grad=True)
     out_loop = loop(x_loop)
-    x_bat = Tensor(x.copy(), requires_grad=True)
-    out_bat = batched(x_bat)
-    np.testing.assert_array_equal(out_bat.data, out_loop.data)
+    x_grp = Tensor(x.copy(), requires_grad=True)
+    out_grp = grouped(x_grp)
+    np.testing.assert_array_equal(out_grp.data, out_loop.data)
 
     ((out_loop ** 2).mean() + 0.01 * loop.last_aux_loss).backward()
-    ((out_bat ** 2).mean() + 0.01 * batched.last_aux_loss).backward()
-    np.testing.assert_allclose(x_bat.grad, x_loop.grad, atol=1e-6)
-    for (name, p_bat), (_, p_loop) in zip(
-        batched.named_parameters(), loop.named_parameters()
+    ((out_grp ** 2).mean() + 0.01 * grouped.last_aux_loss).backward()
+    np.testing.assert_allclose(x_grp.grad, x_loop.grad, atol=1e-6)
+    for (name, p_grp), (_, p_loop) in zip(
+        grouped.named_parameters(), loop.named_parameters()
     ):
         np.testing.assert_allclose(
-            p_bat.grad, p_loop.grad, atol=1e-6, err_msg=name
+            p_grp.grad, p_loop.grad, atol=1e-6, err_msg=name
         )
 
 
 def test_expert_parallel_group_parity(rng):
-    """The multi-worker execution reproduces the batched layer.
+    """The multi-worker execution reproduces the single-process layer.
 
     capacity_factor >= E/k so no token is dropped (drop resolution is
     FCFS in token order, which depends on sharding).
@@ -155,16 +155,16 @@ def test_expert_parallel_group_parity(rng):
 
 
 def test_expert_load_validation(rng):
-    _, batched = make_pair(4, 8, 16)
+    _, grouped = make_pair(4, 8, 16)
     x, _ = make_dispatched(rng, 4, 6, 8, [1, 2, 3, 4])
     with pytest.raises(ValueError):
-        batched(Tensor(x), expert_load=np.array([1, 2]))
+        grouped(Tensor(x), expert_load=np.array([1, 2]))
 
 
 def test_run_expert_bounds(rng):
-    _, batched = make_pair(2, 8, 16)
+    _, grouped = make_pair(2, 8, 16)
     with pytest.raises(IndexError):
-        batched.run_expert(2, Tensor(np.zeros((3, 8), np.float32)))
+        grouped.run_expert(2, Tensor(np.zeros((3, 8), np.float32)))
 
 
 # -- checkpoint layout conversion -------------------------------------------
@@ -247,8 +247,8 @@ def test_default_expert_impl_context():
         assert MoELayer(8, 16, 4, rng).experts.expert_impl == "loop"
         # An explicit argument still wins over the ambient default.
         assert (
-            Experts(2, 8, 16, rng, expert_impl="batched").expert_impl
-            == "batched"
+            Experts(2, 8, 16, rng, expert_impl="grouped").expert_impl
+            == "grouped"
         )
     assert Experts(2, 8, 16, rng).expert_impl == "grouped"
     with pytest.raises(ValueError):

@@ -1,18 +1,17 @@
 """Parity suite for the capacity-free grouped expert path.
 
-Three-way matrix: ``grouped`` must be indistinguishable from the
-``batched`` bank and the per-expert ``loop`` reference — bit-exact
-forward where achievable (expert outputs always; combined tokens when
-each token has at most two contributions, since two-term float adds
-commute), gradients to 1e-6 (the grouped combine accumulates token
-contributions in expert-sorted rather than assignment order, and
-``segment_matmul`` re-associates the stacked weight-grad reductions).
+Two-way matrix: ``grouped`` must be indistinguishable from the
+per-expert ``loop`` reference (and, for top-k, both from the dense
+einsum + loop oracle).  Both run on the same flat sorted rows
+under sparse dispatch (:meth:`~repro.moe.experts.Experts.run_segments`),
+so forwards are bit-exact for every gate; gradients agree to 1e-6
+(``segment_matmul`` re-associates the stacked weight-grad reductions).
 
 Covers the routing shapes that stress the segment form: zero routed
 tokens, every token on one expert, capacity drops, duplicate tokens
 under expert-choice, E=1, and the literal multi-worker
-``ExpertParallelGroup`` execution (which batches its received blocks
-through the same ``run_grouped`` machinery).
+``ExpertParallelGroup`` execution (which runs its received blocks
+through the same ``run_segments`` entry).
 """
 
 import numpy as np
@@ -22,16 +21,16 @@ from repro.moe import (
     EXPERT_IMPLS,
     Experts,
     MoELayer,
+    combine,
     combine_grouped,
-    combine_sparse,
     default_expert_impl,
+    dispatch,
     dispatch_grouped,
-    dispatch_sparse,
 )
 from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
 
-IMPLS = ("loop", "batched", "grouped")
+IMPLS = ("loop", "grouped")
 
 
 def run_layer(x0, impl, seed=3, **kwargs):
@@ -51,34 +50,35 @@ def run_layer(x0, impl, seed=3, **kwargs):
     return layer, x, y
 
 
-def assert_three_way(x0, forward_exact=True, **kwargs):
+def assert_two_way(x0, **kwargs):
     runs = {impl: run_layer(x0, impl, **kwargs) for impl in IMPLS}
-    _, _, y_ref = runs["loop"]
-    for impl in ("batched", "grouped"):
-        _, _, y = runs[impl]
-        if impl == "batched" or forward_exact:
-            np.testing.assert_array_equal(y.data, y_ref.data, err_msg=impl)
-        else:
-            np.testing.assert_allclose(
-                y.data, y_ref.data, atol=1e-6, err_msg=impl
-            )
-    layer_ref, x_ref, _ = runs["loop"]
-    for impl in ("batched", "grouped"):
-        layer, x, _ = runs[impl]
-        np.testing.assert_allclose(
-            x.grad, x_ref.grad, atol=1e-6, err_msg=f"{impl} input grad"
-        )
+    layer_ref, x_ref, y_ref = runs["loop"]
+    layer, x, y = runs["grouped"]
+    np.testing.assert_array_equal(y.data, y_ref.data)
+    np.testing.assert_allclose(
+        x.grad, x_ref.grad, atol=1e-6, err_msg="input grad"
+    )
+    for (name, p), (_, p_ref) in zip(
+        layer.named_parameters(), layer_ref.named_parameters()
+    ):
+        np.testing.assert_allclose(p.grad, p_ref.grad, atol=1e-6, err_msg=name)
+    return runs
+
+
+def test_topk_three_way_parity(rng):
+    """grouped == loop on flat rows, and both match the dense oracle."""
+    x0 = rng.standard_normal((24, 8)).astype(np.float32)
+    runs = assert_two_way(x0)
+    layer_ref, x_ref, y_ref = run_layer(x0, "loop", dispatch_mode="dense")
+    for impl, (layer, x, y) in runs.items():
+        np.testing.assert_allclose(y.data, y_ref.data, atol=1e-6, err_msg=impl)
+        np.testing.assert_allclose(x.grad, x_ref.grad, atol=1e-6, err_msg=impl)
         for (name, p), (_, p_ref) in zip(
             layer.named_parameters(), layer_ref.named_parameters()
         ):
             np.testing.assert_allclose(
                 p.grad, p_ref.grad, atol=1e-6, err_msg=f"{impl} {name}"
             )
-
-
-def test_topk_three_way_parity(rng):
-    x0 = rng.standard_normal((24, 8)).astype(np.float32)
-    assert_three_way(x0)
 
 
 def test_zero_routed_tokens(rng):
@@ -102,7 +102,7 @@ def test_all_tokens_to_one_expert(rng):
     with maximally skewed segments.
     """
     x0 = rng.standard_normal((12, 8)).astype(np.float32)
-    assert_three_way(x0, top_k=1, capacity_factor=1.0, bias_expert=2)
+    assert_two_way(x0, top_k=1, capacity_factor=1.0, bias_expert=2)
     # The gate really did concentrate: expert 2 fills to capacity.
     layer, _, _ = run_layer(x0, "grouped", top_k=1, capacity_factor=1.0,
                             bias_expert=2)
@@ -113,7 +113,7 @@ def test_all_tokens_to_one_expert(rng):
 
 def test_dropped_tokens_under_capacity_pressure(rng):
     x0 = rng.standard_normal((32, 8)).astype(np.float32)
-    assert_three_way(x0, capacity_factor=0.5)
+    assert_two_way(x0, capacity_factor=0.5)
     layer, _, _ = run_layer(x0, "grouped", capacity_factor=0.5)
     assert layer.last_gate_output.dropped_tokens > 0
 
@@ -121,14 +121,11 @@ def test_dropped_tokens_under_capacity_pressure(rng):
 def test_expert_choice_duplicates(rng):
     """EC routes one token to several experts (flat layout duplicates).
 
-    Combined tokens can sum >2 contributions, so forward parity is to
-    1e-6, not bitwise.
+    Combined tokens can sum >2 contributions; both impls combine the
+    same flat rows in the same order, so the forward is still bitwise.
     """
     x0 = rng.standard_normal((16, 8)).astype(np.float32)
-    assert_three_way(
-        x0, forward_exact=False, gate_type="expert-choice",
-        capacity_factor=2.0,
-    )
+    assert_two_way(x0, gate_type="expert-choice", capacity_factor=2.0)
     layer, _, _ = run_layer(x0, "grouped", gate_type="expert-choice",
                             capacity_factor=2.0)
     out = layer.last_gate_output
@@ -138,11 +135,16 @@ def test_expert_choice_duplicates(rng):
 
 def test_single_expert(rng):
     x0 = rng.standard_normal((10, 8)).astype(np.float32)
-    assert_three_way(x0, num_experts=1, top_k=1)
+    assert_two_way(x0, num_experts=1, top_k=1)
 
 
 def test_grouped_dispatch_combine_match_sparse(rng):
-    """The sort-permutation form reproduces the sparse pair's answers."""
+    """The sort-permutation form reproduces index-based capacity routing.
+
+    The reference scatters each kept assignment into its
+    ``expert * C + slot`` capacity row and gathers it back per
+    assignment — the index form of GShard's einsums — in plain numpy.
+    """
     from repro.moe import TopKGate
 
     gate = TopKGate(8, 4, np.random.default_rng(0), top_k=2,
@@ -158,29 +160,35 @@ def test_grouped_dispatch_combine_match_sparse(rng):
     np.testing.assert_array_equal(routing.segment_counts, out.expert_load)
 
     # Identity experts: combining the dispatched rows reproduces the
-    # sparse backend's combine of the capacity buffer.
+    # capacity-buffer round trip.
     merged_grouped = combine_grouped(
         rows, routing, out.gate_weights.detach(), out.num_tokens
     )
-    buffer = dispatch_sparse(
-        Tensor(x), out.expert_indices, out.slot_indices, out.num_experts,
-        out.capacity,
+    tok, choice = np.nonzero(out.slot_indices >= 0)
+    flat_slots = (
+        out.expert_indices[tok, choice] * out.capacity
+        + out.slot_indices[tok, choice]
     )
-    merged_sparse = combine_sparse(
-        buffer, out.expert_indices, out.slot_indices,
-        out.gate_weights.detach(), out.num_tokens,
+    buffer = np.zeros((out.num_experts * out.capacity, 8), np.float32)
+    buffer[flat_slots] = x[tok]
+    weights = out.gate_weights.data[tok, choice][:, None]
+    merged_ref = np.zeros_like(x)
+    np.add.at(merged_ref, tok, buffer[flat_slots] * weights)
+    np.testing.assert_allclose(merged_grouped.data, merged_ref, atol=1e-6)
+
+    # ... and the dense einsums over the same capacity buffer.
+    dense = combine(
+        dispatch(Tensor(x), out.dispatch_mask), out.combine_weights.detach()
     )
-    np.testing.assert_allclose(
-        merged_grouped.data, merged_sparse.data, atol=1e-6
-    )
+    np.testing.assert_allclose(merged_grouped.data, dense.data, atol=1e-6)
 
 
 @pytest.mark.parametrize("gate_type", ["topk", "expert-choice"])
 def test_expert_parallel_group_grouped(rng, gate_type):
-    """The multi-worker execution batches blocks via run_grouped.
+    """The multi-worker execution runs blocks via run_segments.
 
     Must match both the single-process grouped layer and the loop-impl
-    group (whose local compute is the one-block-at-a-time reference).
+    group (whose local compute is the one-expert-at-a-time reference).
     """
     def make(impl):
         return MoELayer(

@@ -2,13 +2,15 @@
 
 ``MoELayer.forward_inference`` must compute *byte-for-byte* the same
 output as the training-tape ``forward`` on an ``eval()`` layer —
-across both gate families, all three expert implementations, sync and
+across both gate families, both expert implementations, sync and
 overlapped chunked pipelines, dead-expert degradation and the T=0
 edge — while recording no tape and drawing its large intermediates
 from the layer's step-scoped arena (so steady state performs zero
 large allocations).  Anything weaker than ``np.array_equal`` here
 would hide a divergence between what we benchmark and what we train.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -22,8 +24,6 @@ def make_layer(
     seed=0,
     gate_type="topk",
     expert_impl=None,
-    pipeline="sync",
-    num_chunks=1,
     num_experts=8,
     capacity_factor=2.0,
 ):
@@ -36,8 +36,6 @@ def make_layer(
         capacity_factor=capacity_factor,
         gate_type=gate_type,
         expert_impl=expert_impl,
-        pipeline=pipeline,
-        num_chunks=num_chunks,
     ).eval()
 
 
@@ -56,7 +54,7 @@ def assert_inference_matches(layer, x, rng_out=None):
 
 
 @pytest.mark.parametrize("gate_type", ["topk", "expert-choice"])
-@pytest.mark.parametrize("expert_impl", ["grouped", "batched", "loop"])
+@pytest.mark.parametrize("expert_impl", ["grouped", "loop"])
 def test_parity_across_gates_and_expert_impls(rng, gate_type, expert_impl):
     layer = make_layer(gate_type=gate_type, expert_impl=expert_impl)
     assert_inference_matches(layer, tokens(rng))
@@ -64,8 +62,17 @@ def test_parity_across_gates_and_expert_impls(rng, gate_type, expert_impl):
 
 @pytest.mark.parametrize("pipeline,num_chunks", [("sync", 3), ("overlap", 3)])
 def test_parity_chunked_pipelines(rng, pipeline, num_chunks):
-    layer = make_layer(pipeline=pipeline, num_chunks=num_chunks)
-    assert_inference_matches(layer, tokens(rng, n=120))
+    """The chunked task graph, single-process: one-worker group."""
+    layer = make_layer()
+    group = ExpertParallelGroup(
+        layer, num_workers=1, pipeline=pipeline, num_chunks=num_chunks
+    )
+    x = tokens(rng, n=120)
+    ref = group.forward([x])[0].copy()
+    got = group.forward_inference([x])[0]
+    np.testing.assert_array_equal(got, ref)
+    # Chunking is invisible: the unchunked layer computes the same bits.
+    np.testing.assert_array_equal(got, layer(Tensor(x)).data)
 
 
 def test_parity_with_dead_experts(rng):
@@ -186,3 +193,23 @@ def test_group_steady_state_reuses_staging_pool(rng):
     ref = group.forward(shards)
     for r, g in zip(ref, got):
         np.testing.assert_array_equal(r, g)
+
+
+def test_group_steady_state_pool_is_interleaving_independent():
+    """Stress the staging-pool steady state under rapid thread switches.
+
+    A one-microsecond switch interval makes the overlap executor's two
+    streams interleave differently on every run; the pool's miss count
+    must not depend on that order.
+    """
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            # The original check's inputs (the ``rng`` fixture's seed),
+            # so only the thread interleaving varies between reruns.
+            test_group_steady_state_reuses_staging_pool(
+                np.random.default_rng(12345)
+            )
+    finally:
+        sys.setswitchinterval(previous)

@@ -44,6 +44,11 @@ def test_max_per_key_bounds_retention():
     for b in bufs:
         pool.release(b)
     assert pool.idle_buffers() == 2
+    # None keeps every release.
+    unbounded = BufferPool(max_per_key=None)
+    for b in [unbounded.acquire((3,)) for _ in range(40)]:
+        unbounded.release(b)
+    assert unbounded.idle_buffers() == 40
 
 
 def test_max_per_key_validation():

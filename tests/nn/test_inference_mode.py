@@ -30,7 +30,6 @@ from repro.nn.tensor import (
     _SCATTER_ROUNDS_MAX_DEPTH,
     _arena_out,
     _scatter_add_inference,
-    bmm,
     concatenate,
     gather,
     scatter_add,
@@ -191,9 +190,6 @@ def test_matmul_gather_concat_parity(rng):
     _parity(lambda t, u: t @ u, a, b)
     _parity(lambda t: gather(t, idx), a)
     _parity(lambda t, u: concatenate([t, u], axis=1), a, a)
-    x3 = rng.standard_normal((4, 32, 16)).astype(np.float32)
-    y3 = rng.standard_normal((4, 16, 24)).astype(np.float32)
-    _parity(bmm, x3, y3)
 
 
 def test_segment_matmul_parity(rng):
