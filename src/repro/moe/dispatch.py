@@ -97,7 +97,7 @@ def _kept_assignments(
       the row *is* the token);
     * flat ``(N,)`` arrays with an explicit aligned ``token_indices``.
 
-    Returns ``(token_ids, weight_index, expert_ids, slot_ids)`` where
+    Returns ``(token_ids, weight_index, expert_ids)`` where
     ``weight_index`` is the tuple that selects each kept assignment's
     entry from the gate-weight tensor of the matching layout.
     """
@@ -112,8 +112,7 @@ def _kept_assignments(
         kept = slot_indices >= 0
         token_ids, choice_ids = np.nonzero(kept)
         expert_ids = expert_indices[token_ids, choice_ids]
-        slot_ids = slot_indices[token_ids, choice_ids]
-        return token_ids, (token_ids, choice_ids), expert_ids, slot_ids
+        return token_ids, (token_ids, choice_ids), expert_ids
     if expert_indices.ndim == 1:
         if token_indices is None:
             raise ValueError(
@@ -126,12 +125,7 @@ def _kept_assignments(
                 f"expert_indices {expert_indices.shape}"
             )
         (pos,) = np.nonzero(slot_indices >= 0)
-        return (
-            token_indices[pos],
-            (pos,),
-            expert_indices[pos],
-            slot_indices[pos],
-        )
+        return token_indices[pos], (pos,), expert_indices[pos]
     raise ValueError(
         f"routing indices must be (T, k) or flat (N,), got "
         f"{expert_indices.shape}"
@@ -198,7 +192,7 @@ def dispatch_grouped(
             weight_index=plan.grouped_weight_index,
         )
         return gather(tokens, routing.token_ids), routing
-    token_ids, weight_index, expert_ids, _ = _kept_assignments(
+    token_ids, weight_index, expert_ids = _kept_assignments(
         expert_indices, slot_indices, token_indices
     )
     order = np.argsort(expert_ids, kind="stable")

@@ -68,6 +68,7 @@ from ..core.scheduler import Scheduler
 from ..core.tasks import Task, TaskKind
 from ..nn.buffer_pool import Arena, BufferPool
 from ..nn.tensor import (
+    add_rows_at,
     inference_mode,
     scratch_empty,
     scratch_zeros,
@@ -651,7 +652,7 @@ class ExpertParallelGroup:
                 # bit-identical to the unchunked merge because every
                 # contribution to one token lives in this chunk, in
                 # the same relative order.
-                np.add.at(
+                add_rows_at(
                     outputs[w],
                     token_ids[w][sel],
                     weights[w][sel][:, None] * contrib,

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, _arena_out, is_inference
+from .tensor import Tensor, _arena_out, add_rows_at, is_inference
 
 
 def relu(x: Tensor) -> Tensor:
@@ -207,7 +207,9 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(g):
         grad = np.zeros_like(weight.data)
-        np.add.at(grad, idx, g)
+        add_rows_at(
+            grad, idx.reshape(-1), g.reshape((idx.size,) + grad.shape[1:])
+        )
         return ((weight, grad),)
 
     return weight._make(weight.data[idx], (weight,), backward)

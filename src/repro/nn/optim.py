@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List
 
 import numpy as np
 
 from .tensor import Tensor
 
+#: Elements per cache block of :meth:`Adam.step`: its whole update
+#: sequence runs on one block of params, moments and gradient while
+#: they are cache-resident, instead of a dozen full-size DRAM passes.
+_ADAM_BLOCK = 1 << 16
+
 
 class Optimizer:
     """Base optimizer over a fixed parameter list."""
 
     def __init__(self, parameters: Iterable[Tensor], lr: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(
+                f"learning rate must be positive and finite, got {lr}"
+            )
         self.parameters: List[Tensor] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer got an empty parameter list")
@@ -74,29 +82,75 @@ class Adam(Optimizer):
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+        if not eps >= 0:
+            raise ValueError(f"eps must be >= 0, got {eps}")
+        # Python floats keep every block op in float32 (numpy scalars
+        # would promote the products to float64).
+        self.beta1, self.beta2 = float(beta1), float(beta2)
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._scratch_t = np.empty(_ADAM_BLOCK, dtype=np.float32)
+        self._scratch_u = np.empty(_ADAM_BLOCK, dtype=np.float32)
 
     def step(self) -> None:
+        """One in-place update, walked in ``_ADAM_BLOCK``-element blocks.
+
+        Each block runs the whole-array sequence ``m = b1*m + (1-b1)*g;
+        v = b2*v + (1-b2)*g*g; u = (m/bc1) / (sqrt(v/bc2) + eps)
+        [+ wd*p]; p -= lr*u`` op for op in float32, so every element
+        gets exactly the rounding of the unblocked update.  ``_m``,
+        ``_v`` and ``lr`` are read afresh each step (schedulers write
+        ``lr``, checkpoint restores replace the moments).
+        """
         self._step += 1
-        bc1 = 1.0 - self.beta1**self._step
-        bc2 = 1.0 - self.beta2**self._step
-        for p, m, v in zip(self.parameters, self._m, self._v):
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self._step
+        bc2 = 1.0 - b2**self._step
+        lr, eps, wd = float(self.lr), self.eps, self.weight_decay
+        t = self._scratch_t
+        u = self._scratch_u
+        for i, (p, m, v) in enumerate(zip(self.parameters, self._m, self._v)):
             if p.grad is None:
                 continue
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
+            if not (
+                p.data.flags.c_contiguous
+                and m.flags.c_contiguous
+                and v.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"Adam updates in place and needs C-contiguous "
+                    f"parameter data and moments; parameter {i} of shape "
+                    f"{p.data.shape} is not"
+                )
+            p_flat = p.data.reshape(-1)
+            m_flat, v_flat = m.reshape(-1), v.reshape(-1)
+            g_flat = p.grad.reshape(-1)
+            for lo in range(0, p_flat.size, _ADAM_BLOCK):
+                hi = min(lo + _ADAM_BLOCK, p_flat.size)
+                pb, mb, vb, gb = (
+                    p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi], g_flat[lo:hi]
+                )
+                tb, ub = t[: hi - lo], u[: hi - lo]
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=tb)
+                mb += tb
+                vb *= b2
+                np.multiply(gb, gb, out=tb)
+                tb *= 1.0 - b2
+                vb += tb
+                np.divide(vb, bc2, out=tb)
+                np.sqrt(tb, out=tb)
+                tb += eps
+                np.divide(mb, bc1, out=ub)
+                ub /= tb
+                if wd:
+                    np.multiply(pb, wd, out=tb)
+                    ub += tb
+                ub *= lr
+                pb -= ub
 
 
 def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
@@ -104,7 +158,7 @@ def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
 
     Returns the pre-clip norm.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     params = [p for p in parameters if p.grad is not None]
     total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))

@@ -607,72 +607,57 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
         data = np.take(x.data, idx, axis=axis)
 
     def backward(g):
+        # Scatter along ``axis`` as rows: bring the index dimensions of
+        # ``g`` to the front and flatten them (C order, as np.add.at).
         grad = np.zeros_like(x.data)
-        if axis == 0:
-            np.add.at(grad, idx, g)
-        else:
-            moved = np.moveaxis(grad, axis, 0)
-            np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        g = np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim))
+        add_rows_at(
+            np.moveaxis(grad, axis, 0),
+            idx.reshape(-1),
+            g.reshape((idx.size,) + g.shape[idx.ndim:]),
+        )
         return ((x, grad),)
 
     return x._make(data, (x,), backward)
 
 
-#: Deepest index multiplicity the padded round-sum scatter handles:
-#: its (rows, depth, ...) staging buffer and its depth sequential adds
-#: both scale with the deepest duplicate, so past ~top-k depths the
-#: buffered ``np.add.at`` is the better loser.  Expert-choice combines
-#: (a token selected by up to E experts) fall back there.
-_SCATTER_ROUNDS_MAX_DEPTH = 8
+def add_rows_at(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """``out[idx] += values`` for a 1-d row index that may repeat.
 
-
-def _scatter_add_inference(
-    out: np.ndarray, idx: np.ndarray, values: np.ndarray
-) -> None:
-    """``out[idx] += values`` with duplicate indices, vectorized.
-
-    ``np.add.at`` is the correctness workhorse of the accumulating
-    scatter but cannot vectorize (any element might collide with any
-    other), which makes it the single most expensive non-GEMM op of
-    the MoE combine.  This version exploits what the router guarantees
-    — each destination token receives at most top-k contributions — by
-    splitting the input into *occurrence rounds*: element n's round is
-    how many earlier elements target the same destination.  Within a
-    round destinations are unique by construction, so each round is
-    one fancy-index scatter; summing the per-round planes in round
-    order reproduces ``np.add.at``'s sequential order exactly.
-
-    Bit-identical to ``np.add.at(out, idx, values)`` on the zeroed
-    ``out`` the caller passes: every destination accumulates its
-    contributions in input order starting from +0.0, and the trailing
-    +0.0 pads (destinations with fewer than ``depth`` contributions)
-    are exact identities — a partial sum seeded from +0.0 can never be
-    -0.0, the only value ``+ 0.0`` would alter.
-
-    Forward-only (hence the name): the padded staging buffer comes
-    from the ambient arena and the adjoint bookkeeping of
-    :func:`scatter_add`'s tape is not wired through it.
+    The exact, vectorized replacement for ``np.add.at(out, idx,
+    values)``, which cannot vectorize (any element might collide with
+    any other) and so dominated the non-GEMM cost of every row
+    scatter: gather and embedding backwards, the MoE combine.  The
+    input is split into *occurrence rounds*: element n's round is how
+    many earlier elements target the same row.  Within a round rows
+    are unique by construction, so each round is one fancy-index
+    ``+=``; applying the rounds in order adds every row's
+    contributions in input order, exactly as ``np.add.at`` does, so
+    the result is bit-identical on any ``out`` and for any duplicate
+    depth.  A round costs one small fancy-index call, so depth (the
+    deepest repeat) bounds the Python-level work.
     """
-    if idx.size == 0:
+    n = idx.shape[0]
+    if n == 0:
         return
+    if idx.min() < 0:
+        idx = np.where(idx < 0, idx + out.shape[0], idx)
     counts = np.bincount(idx, minlength=out.shape[0])
-    depth = int(counts.max(initial=0))
-    if depth <= 1:
-        # No duplicates at all: the compound fancy-index add is safe
-        # and fully vectorized.
+    if counts.max() == 1:
         out[idx] += values
         return
-    if depth > _SCATTER_ROUNDS_MAX_DEPTH:
-        np.add.at(out, idx, values)
-        return
+    # Occurrence number: rank within the row's stable-sorted group.
     order = np.argsort(idx, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-    occ = np.empty(idx.shape[0], dtype=np.int64)
-    occ[order] = np.arange(idx.shape[0], dtype=np.int64) - starts[idx[order]]
-    pad = scratch_zeros((out.shape[0], depth) + values.shape[1:], values.dtype)
-    pad[idx, occ] = values
-    for r in range(depth):
-        out += pad[:, r]
+    starts = np.cumsum(counts) - counts
+    occ = np.empty(n, dtype=np.intp)
+    occ[order] = np.arange(n) - starts[idx[order]]
+    # Rounds: a second stable sort keeps input order inside each round.
+    rounds = np.argsort(occ, kind="stable")
+    lo = 0
+    for hi in np.cumsum(np.bincount(occ)).tolist():
+        sel = rounds[lo:hi]
+        out[idx[sel]] += values[sel]
+        lo = hi
 
 
 def scatter_add(
@@ -690,9 +675,8 @@ def scatter_add(
     gradient at the same indices — the exact adjoint.
 
     ``unique_indices`` is a caller promise that no index repeats, in
-    which case the accumulating ``np.add.at`` (slow: it cannot
-    vectorize because of potential collisions) is replaced by a plain
-    fancy-index store.  MoE dispatch destinations
+    which case the accumulating :func:`add_rows_at` is replaced by a
+    plain fancy-index store.  MoE dispatch destinations
     (``expert * capacity + slot``) hold at most one token each, so the
     hot path qualifies.  The promise is trusted, not checked: with
     duplicate indices the fast path keeps only the last write.
@@ -716,10 +700,8 @@ def scatter_add(
     out = scratch_zeros((num_rows,) + values.shape[1:], np.float32)
     if unique_indices:
         out[idx] = values.data
-    elif _inference_mode:
-        _scatter_add_inference(out, idx, values.data)
     else:
-        np.add.at(out, idx, values.data)
+        add_rows_at(out, idx, values.data)
 
     def backward(g):
         return ((values, g[idx]),)
@@ -840,7 +822,10 @@ def segment_matmul(
 
     def backward(g):
         grad_x = np.empty_like(x.data)
-        grad_w = np.zeros_like(weight.data)
+        # Occupied segments are written in full below; only the empty
+        # ones need their zero gradient.
+        grad_w = np.empty_like(weight.data)
+        grad_w[counts == 0] = 0.0
         for experts, rows in batched:
             g_b = g[rows]
             grad_x[rows] = np.matmul(

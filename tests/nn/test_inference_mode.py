@@ -13,6 +13,8 @@ counterpart on finite inputs.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     Arena,
@@ -27,9 +29,8 @@ from repro.nn import (
 )
 from repro.nn.tensor import (
     _ARENA_MIN_ELEMS,
-    _SCATTER_ROUNDS_MAX_DEPTH,
     _arena_out,
-    _scatter_add_inference,
+    add_rows_at,
     concatenate,
     gather,
     scatter_add,
@@ -204,33 +205,130 @@ def test_segment_matmul_parity(rng):
 
 
 # -- the occurrence-round scatter vs np.add.at -------------------------------
+#
+# Compared as uint32 bit patterns: ``assert_array_equal`` treats -0.0
+# and +0.0 as equal, so it cannot see a changed summation order that
+# only flips the sign of a zero.
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _signed_zero_values(rng, shape):
+    """Random float32 values with a sprinkling of +0.0 and -0.0."""
+    values = rng.standard_normal(shape).astype(np.float32)
+    flat = values.reshape(-1)
+    flat[rng.random(flat.size) < 0.1] = 0.0
+    flat[rng.random(flat.size) < 0.1] = -0.0
+    return values
+
+
+def _check_add_rows_at(idx, values, out):
+    expected = out.copy()
+    np.add.at(expected, idx, values)
+    got = out.copy()
+    add_rows_at(got, idx, values)
+    np.testing.assert_array_equal(_bits(got), _bits(expected))
 
 
 @pytest.mark.parametrize(
-    "num_rows,depth_hint",
-    [(16, 1), (16, 2), (8, 4), (4, _SCATTER_ROUNDS_MAX_DEPTH),
-     (2, _SCATTER_ROUNDS_MAX_DEPTH + 5)],  # last one takes the fallback
+    "num_rows,depth",
+    [(16, 1), (16, 2), (8, 4), (4, 8), (4, 9), (2, 13), (16, 250)],
 )
-def test_scatter_add_inference_matches_add_at(rng, num_rows, depth_hint):
-    n = num_rows * depth_hint
-    idx = rng.integers(0, num_rows, size=n)
-    values = rng.standard_normal((n, 24)).astype(np.float32)
-    expected = np.zeros((num_rows, 24), dtype=np.float32)
-    np.add.at(expected, idx, values)
-    got = np.zeros((num_rows, 24), dtype=np.float32)
-    _scatter_add_inference(got, idx, values)
-    np.testing.assert_array_equal(got, expected)
+def test_scatter_add_inference_matches_add_at(rng, num_rows, depth):
+    """Every row receives exactly ``depth`` contributions, shuffled."""
+    idx = rng.permutation(np.repeat(np.arange(num_rows), depth))
+    values = _signed_zero_values(rng, (idx.size, 24))
+    _check_add_rows_at(idx, values, np.zeros((num_rows, 24), np.float32))
+    # Any starting ``out`` (including -0.0 rows), not only zeros.
+    start = _signed_zero_values(rng, (num_rows, 24))
+    start[0] = -0.0
+    _check_add_rows_at(idx, values, start)
+
+
+def test_add_rows_at_sorted_segments_and_single_row(rng):
+    # The per-row bias gather's backward: few rows, sorted, deep.
+    idx = np.sort(rng.integers(0, 16, size=4000))
+    assert np.bincount(idx).max() >= 250
+    values = _signed_zero_values(rng, (idx.size, 8))
+    _check_add_rows_at(idx, values, np.zeros((16, 8), np.float32))
+    # One destination for everything: one element per round.
+    idx = np.full(300, 3)
+    values = _signed_zero_values(rng, (300, 5))
+    _check_add_rows_at(idx, values, np.zeros((7, 5), np.float32))
+    # Negative indices address rows from the end, as in np.add.at.
+    idx = rng.integers(-6, 6, size=50)
+    values = _signed_zero_values(rng, (50, 3))
+    _check_add_rows_at(idx, values, np.zeros((6, 3), np.float32))
+
+
+def test_add_rows_at_1d_values(rng):
+    idx = rng.integers(0, 10, size=200)
+    values = _signed_zero_values(rng, (200,))
+    _check_add_rows_at(idx, values, np.zeros(10, np.float32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_rows=st.integers(1, 12),
+    idx_list=st.lists(st.integers(0, 11), max_size=80),
+    seed=st.integers(0, 2**16),
+)
+def test_add_rows_at_property(num_rows, idx_list, seed):
+    rng = np.random.default_rng(seed)
+    idx = np.asarray(idx_list, dtype=np.int64) % num_rows
+    values = _signed_zero_values(rng, (idx.size, 3))
+    _check_add_rows_at(idx, values, _signed_zero_values(rng, (num_rows, 3)))
 
 
 def test_scatter_add_inference_empty_and_tensor_entry(rng):
     out = np.ones((3, 4), dtype=np.float32)
-    _scatter_add_inference(out, np.array([], dtype=np.int64),
-                           np.empty((0, 4), dtype=np.float32))
+    add_rows_at(out, np.array([], dtype=np.int64),
+                np.empty((0, 4), dtype=np.float32))
     np.testing.assert_array_equal(out, np.ones((3, 4), dtype=np.float32))
     # And through the public op, under the mode flag.
     idx = rng.integers(0, 6, size=40)
     vals = rng.standard_normal((40, 8)).astype(np.float32)
     _parity(lambda v: scatter_add(v, idx, 6), vals)
+
+
+def test_row_scatter_ops_match_add_at_reference(rng):
+    """gather / scatter_add / embedding against np.add.at, bit for bit."""
+    x = _signed_zero_values(rng, (10, 6))
+    idx = rng.integers(0, 10, size=90)
+    g = _signed_zero_values(rng, (90, 6))
+
+    t = Tensor(x, requires_grad=True)
+    gather(t, idx).backward(g)
+    expected = np.zeros_like(x)
+    np.add.at(expected, idx, g)
+    np.testing.assert_array_equal(_bits(t.grad), _bits(expected))
+
+    # Non-leading axis: the index runs along columns.
+    t = Tensor(x, requires_grad=True)
+    cols = rng.integers(0, 6, size=20)
+    g_cols = _signed_zero_values(rng, (10, 20))
+    gather(t, cols, axis=1).backward(g_cols)
+    expected = np.zeros_like(x)
+    np.add.at(expected.T, cols, g_cols.T)
+    np.testing.assert_array_equal(_bits(t.grad), _bits(expected))
+
+    # scatter_add forward, training mode (the tape is recorded).
+    v = Tensor(g, requires_grad=True)
+    out = scatter_add(v, idx, 10)
+    expected = np.zeros((10, 6), np.float32)
+    np.add.at(expected, idx, g)
+    np.testing.assert_array_equal(_bits(out.data), _bits(expected))
+
+    # Embedding with 2-D (batch, time) indices.
+    weight = Tensor(x, requires_grad=True)
+    tokens = rng.integers(0, 10, size=(4, 15))
+    g_emb = _signed_zero_values(rng, (4, 15, 6))
+    F.embedding(weight, tokens).backward(g_emb)
+    expected = np.zeros_like(x)
+    np.add.at(expected, tokens, g_emb)
+    np.testing.assert_array_equal(_bits(weight.grad), _bits(expected))
 
 
 # -- Module.forward_inference -------------------------------------------------
