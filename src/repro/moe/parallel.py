@@ -166,10 +166,9 @@ class ExpertParallelGroup:
         self.num_chunks = int(num_chunks)
         self._executor = StreamExecutor(scheduler)
         # The A2A staging pool.  Every buffer a forward takes comes back
-        # by the forward's end, so a key's free list never outgrows one
-        # forward's peak demand — and capping it below that peak would
-        # make every forward miss on the overflow.
-        self._pool = BufferPool(max_per_key=None)
+        # by the forward's end, so a size class's free list never
+        # outgrows one forward's peak demand for that class.
+        self._pool = BufferPool()
         #: Per-task (start, end) seconds of the most recent chunked
         #: forward (both pipeline modes), for overlap introspection.
         self.last_timeline: Optional[dict] = None
@@ -408,9 +407,7 @@ class ExpertParallelGroup:
             )
         arena = getattr(self, "_inference_arena", None)
         if arena is None:
-            arena = self._inference_arena = Arena(
-                pool=BufferPool(max_per_key=None)
-            )
+            arena = self._inference_arena = Arena()
         was_training = self.layer.training
         if was_training:
             self.layer.eval()

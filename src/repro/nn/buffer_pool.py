@@ -7,13 +7,23 @@ arrays per forward pass.  Allocating them fresh every chunk churns the
 allocator on exactly the path we are trying to overlap; the real
 system (like any NCCL-based A2A) reuses pinned staging buffers
 instead.  :class:`BufferPool` is that staging area: ``acquire`` hands
-out a cached array of the requested shape/dtype when one is free and
+out a pooled array of the requested shape/dtype when one is free and
 allocates otherwise, ``release`` returns it for reuse.
 
+The pool pools by *size class*, not by exact shape.  Routed row
+counts change with every batch, so exact ``(shape, dtype)`` keys
+would add new free lists each step and never reuse them.  Instead an
+element count is rounded up to a geometric class (:func:`size_class`:
+four classes per octave, at most 25% padding), free lists hold flat
+1-d backing arrays keyed by ``(class_elems, dtype)``, and ``acquire``
+hands out ``backing[:n].reshape(shape)`` — a C-contiguous, writable
+view.  ``release`` maps that view back to its backing through
+``array.base`` and an outstanding-buffer table, so it takes back
+exactly the arrays it handed out and refuses everything else.
+
 The pool is thread-safe — any thread may acquire and release — and
-deliberately dumb: exact (shape, dtype) matching, bounded per-key free
-list, no zeroing (callers always overwrite the full buffer via
-``np.copyto``-style writes before reading).
+does no zeroing: callers always overwrite the full buffer via
+``np.copyto``-style writes before reading.
 
 :class:`Arena` layers a *step-scoped* discipline on top: every buffer
 it hands out stays checked out until :meth:`Arena.reset`, which
@@ -21,44 +31,62 @@ returns the whole working set to the pool in one shot.  That is the
 allocation pattern of a forward-only inference step — all of one
 step's intermediates are simultaneously "in flight" until the step's
 output is produced, then the entire set can be recycled for the next
-step (see ``repro.nn.tensor.inference_mode``).
+step (see ``repro.nn.tensor.inference_mode``).  Each class's free
+list is thus bounded by one step's peak demand for that class.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Arena", "BufferPool"]
+__all__ = ["Arena", "BufferPool", "size_class"]
+
+
+def size_class(n: int) -> int:
+    """The backing size, in elements, that serves a request for ``n``.
+
+    Counts up to 8 are exact.  Above that, each octave
+    ``(2^k, 2^(k+1)]`` is split into four equal steps of ``2^(k-2)``
+    and ``n`` rounds up to the next step, so the padding is always
+    under 25% of ``n`` and the class count grows only logarithmically
+    in the largest request.
+    """
+    n = int(n)
+    if n <= 8:
+        return n
+    step = 1 << ((n - 1).bit_length() - 3)
+    return -(-n // step) * step
 
 
 class BufferPool:
-    """Thread-safe free-list of numpy arrays keyed by (shape, dtype).
+    """Thread-safe free lists of flat numpy buffers keyed by size class.
 
-    ``max_per_key`` bounds how many idle buffers of one shape are
-    retained; extra releases drop the array back to the allocator so a
-    pathological shape mix cannot grow the pool without bound.
-    ``None`` retains every release — for owners that get every buffer
-    back by the end of each step, whose free lists are then bounded by
-    one step's peak demand per shape.
+    A request for ``shape``/``dtype`` is served from the free list of
+    ``(size_class(prod(shape)), dtype)``; a hit and a miss both hand
+    out a fresh view of a backing array, never the backing itself, and
+    the pool records that view as outstanding until it is released.
 
     The pool keeps running counters — ``hits`` / ``misses`` (acquires
     served from the free list vs. fresh allocations), ``bytes_held``
     (bytes sitting idle in the free lists right now) and
     ``bytes_allocated`` (total bytes the pool has ever allocated on
-    misses) — exposed as a :meth:`stats` snapshot so benchmarks and
-    tests can assert reuse instead of guessing at it: a steady-state
-    inference loop should stop accumulating misses after its first
-    step.
+    misses), both counted at class size — exposed as a :meth:`stats`
+    snapshot so benchmarks and tests can assert reuse instead of
+    guessing at it: a steady-state inference loop should stop
+    accumulating misses after its first step.
     """
 
-    def __init__(self, max_per_key: Optional[int] = 16):
-        if max_per_key is not None and max_per_key < 1:
-            raise ValueError(f"max_per_key must be >= 1, got {max_per_key}")
-        self.max_per_key = max_per_key
-        self._free: Dict[Tuple[tuple, np.dtype], List[np.ndarray]] = {}
+    def __init__(self):
+        self._free: Dict[Tuple[int, np.dtype], List[np.ndarray]] = {}
+        # id(handed-out view) -> (weak ref to the view, its class key).
+        # Weak, so a buffer dropped without release is simply freed;
+        # the ref check makes a recycled id never match.
+        self._out: Dict[int, Tuple[weakref.ref, Tuple[int, np.dtype]]] = {}
         self._lock = threading.Lock()
         #: Buffers served from the free list / fresh allocations.
         self.hits = 0
@@ -66,22 +94,28 @@ class BufferPool:
         self._bytes_held = 0
         self._bytes_allocated = 0
 
-    def _key(self, shape, dtype) -> Tuple[tuple, np.dtype]:
-        return (tuple(int(s) for s in shape), np.dtype(dtype))
-
     def acquire(self, shape, dtype=np.float32) -> np.ndarray:
-        """A writable array of exactly ``shape``/``dtype`` (uninitialized)."""
-        key = self._key(shape, dtype)
-        nbytes = int(np.prod(key[0], dtype=np.int64)) * key[1].itemsize
+        """An uninitialized, writable, C-contiguous ``shape`` array."""
+        shape = tuple(int(s) for s in shape)
+        dtype = np.dtype(dtype)
+        n = math.prod(shape)
+        key = (size_class(n), dtype)
         with self._lock:
             free = self._free.get(key)
             if free:
                 self.hits += 1
-                self._bytes_held -= nbytes
-                return free.pop()
-            self.misses += 1
-            self._bytes_allocated += nbytes
-        return np.empty(key[0], dtype=key[1])
+                backing = free.pop()
+                self._bytes_held -= backing.nbytes
+            else:
+                self.misses += 1
+                self._bytes_allocated += key[0] * dtype.itemsize
+                backing = None
+        if backing is None:
+            backing = np.empty(key[0], dtype=dtype)
+        view = backing[:n].reshape(shape)
+        with self._lock:
+            self._out[id(view)] = (weakref.ref(view), key)
+        return view
 
     def take_copy(self, array: np.ndarray) -> np.ndarray:
         """A pooled buffer holding a copy of ``array`` — the A2A handoff.
@@ -95,23 +129,18 @@ class BufferPool:
         return buf
 
     def release(self, array: np.ndarray) -> None:
-        """Return a buffer for reuse.  Only pass arrays you own.
+        """Return a buffer that :meth:`acquire` handed out, for reuse.
 
-        The pool only ever hands out freshly allocated, writable,
-        C-contiguous arrays that own their data — and it only takes
-        such arrays back.  Accepting anything else would let a later
-        :meth:`acquire` hand out a buffer that aliases live caller
-        data (a view) or that ``np.copyto``-style staging writes
-        cannot fill (read-only, or strided so the flat copy is wrong).
+        The pool takes back exactly the arrays it handed out, each
+        once.  A view of a handed-out buffer, a foreign array, or one
+        already released is refused: pooling it would let a later
+        :meth:`acquire` hand out memory that aliases live caller data.
+        So are read-only and non-C-contiguous arrays, which
+        ``np.copyto``-style staging writes cannot fill.
         """
         if not isinstance(array, np.ndarray):
             raise TypeError(
                 f"release() takes a numpy array, got {type(array).__name__}"
-            )
-        if array.base is not None:
-            raise ValueError(
-                "refusing to pool a view: a later acquire would hand "
-                "out a buffer aliasing the view's base array"
             )
         if not array.flags.writeable:
             raise ValueError("refusing to pool a read-only array")
@@ -120,12 +149,18 @@ class BufferPool:
                 "refusing to pool a non-C-contiguous array: staged "
                 "copies assume the pool's own contiguous layout"
             )
-        key = self._key(array.shape, array.dtype)
         with self._lock:
-            free = self._free.setdefault(key, [])
-            if self.max_per_key is None or len(free) < self.max_per_key:
-                free.append(array)
-                self._bytes_held += array.nbytes
+            entry = self._out.get(id(array))
+            if entry is None or entry[0]() is not array:
+                raise ValueError(
+                    "refusing to pool an array this pool did not hand "
+                    "out (or already took back): a view or foreign "
+                    "array would alias live data in a later acquire"
+                )
+            del self._out[id(array)]
+            backing = array.base
+            self._free.setdefault(entry[1], []).append(backing)
+            self._bytes_held += backing.nbytes
 
     def idle_buffers(self) -> int:
         """Buffers currently sitting in the free lists (for tests)."""
@@ -170,9 +205,10 @@ class Arena:
     buffer as *live*; nothing is recycled until :meth:`reset` returns
     the whole working set at once.  Within one step every buffer is
     therefore exclusively owned by whoever asked for it — no aliasing
-    analysis needed — while across steps the same shapes are served
-    from the free list, so a steady-state forward performs zero large
-    allocations.
+    analysis needed — while across steps the same size classes are
+    served from the free list, so once every class has seen one step's
+    peak demand a forward performs zero large allocations, even when
+    its routed row counts change with every batch.
 
     The contract callers must respect: arrays handed out by an arena
     (including any tensor *outputs* built on them) are valid only
@@ -182,10 +218,8 @@ class Arena:
     steps, when no thread is allocating.
     """
 
-    def __init__(
-        self, pool: Optional[BufferPool] = None, max_per_key: int = 16
-    ):
-        self.pool = pool if pool is not None else BufferPool(max_per_key)
+    def __init__(self, pool: Optional[BufferPool] = None):
+        self.pool = pool if pool is not None else BufferPool()
         self._live: List[np.ndarray] = []
 
     def empty(self, shape, dtype=np.float32) -> np.ndarray:
