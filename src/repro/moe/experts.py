@@ -226,11 +226,12 @@ class Experts(Module):
         (``segment_counts[e]`` rows for expert e, summing to N) — the
         sort-permutation form :func:`~repro.moe.dispatch.dispatch_grouped`
         produces.  Two :func:`~repro.nn.tensor.segment_matmul` calls
-        run each occupied expert's segment through its FFN; the biases
-        are gathered per row from the stacked ``(E, 1, H)/(E, 1, M)``
-        parameters (a differentiable gather, so their gradients
-        scatter-add back per segment).  No (E, C, M) buffer exists at
-        any point, and an expert with an empty segment costs nothing.
+        run each occupied expert's segment through its FFN, each with
+        its stacked bias as the GEMM's in-place epilogue (``bias=`` the
+        ``(E, H)``/``(E, M)`` view of ``b1``/``b2``, whose gradient is
+        one per-segment row fold).  No (E, C, M) buffer and no per-row
+        bias tensor exist at any point, and an expert with an empty
+        segment costs nothing.
         """
         counts = np.asarray(segment_counts)
         if rows.ndim != 2 or rows.shape[1] != self.model_dim:
@@ -242,16 +243,10 @@ class Experts(Module):
                 f"segment_counts must be ({self.num_experts},), "
                 f"got {counts.shape}"
             )
-        expert_of_row = np.repeat(
-            np.arange(self.num_experts), counts.astype(np.int64)
-        )
         b1 = self.b1.reshape(self.num_experts, self.hidden_dim)
         b2 = self.b2.reshape(self.num_experts, self.model_dim)
-        h = self._act(
-            segment_matmul(rows, self.w1, counts)
-            + gather(b1, expert_of_row)
-        )
-        return segment_matmul(h, self.w2, counts) + gather(b2, expert_of_row)
+        h = self._act(segment_matmul(rows, self.w1, counts, bias=b1))
+        return segment_matmul(h, self.w2, counts, bias=b2)
 
     def run_segments(
         self, rows: Tensor, segment_counts: np.ndarray

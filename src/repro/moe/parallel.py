@@ -22,15 +22,17 @@ C1 A1 D1 E C2 A2 D2 of :mod:`repro.core.tasks` with real work —
 
 * C1: build the flat per-destination payloads (rows sorted by expert,
   plus per-expert segment counts) for the chunk's routed tokens;
-* A1: the dispatch all-to-all — codec roundtrip plus a memcpy into a
-  pooled staging buffer (:class:`~repro.nn.buffer_pool.BufferPool`);
+* A1: the dispatch all-to-all — codec roundtrip per payload plus a
+  memcpy into its row slice of the source's one pooled staging buffer
+  for the chunk (:class:`~repro.nn.buffer_pool.BufferPool`);
 * D1: each destination assembles its received segments into one
   contiguous sorted-by-expert row block;
 * E:  expert execution over the flat rows
   (:meth:`~repro.moe.experts.Experts.run_segments`: grouped segment
   GEMMs, or the per-expert reference loop under ``expert_impl="loop"``);
 * C2: split results back per source, in payload row order;
-* A2: the combine all-to-all (codec + pooled memcpy);
+* A2: the combine all-to-all (codec per payload + memcpy into the
+  receiver's one pooled staging buffer for the chunk);
 * D2: the owner merges the chunk's results into its output rows, in
   the gate's original assignment order.
 
@@ -492,11 +494,17 @@ class ExpertParallelGroup:
         inbox: Dict[tuple, list] = {}
         assembled: Dict[tuple, tuple] = {}
         expert_out: Dict[tuple, tuple] = {}
-        pending_return: Dict[int, list] = {}
+        pending_return: Dict[int, Dict[int, list]] = {}
         returned: Dict[tuple, list] = {}
         return_map: Dict[tuple, np.ndarray] = {}
-        # Staging buffers go back to the pool on the communication
-        # stream, which takes them, at points its own task order fixes:
+        # One staging buffer per (source, chunk) in A1 and per
+        # (receiver, chunk) in A2, each payload in its own row slice:
+        # a source's kept rows per chunk barely move between batches
+        # (not at all without capacity drops), where a single
+        # (source, destination) payload's count drifts across
+        # size-class boundaries.  Staging buffers go back to the pool
+        # on the communication stream, which takes them, at points
+        # its own task order fixes:
         # chunk c's A1 buffers when A2 of chunk c starts (D1 of chunk
         # c, their reader, precedes it in the chain), the A2 buffers
         # after the last task.  Released from the computing stream as
@@ -518,7 +526,8 @@ class ExpertParallelGroup:
             experts it hosts (``nonzero`` preserves order, so under a
             contiguous placement this is exactly the historical
             contiguous slice); ``dst_counts`` aligns with the
-            destination's ascending hosted-expert order.
+            destination's ascending hosted-expert order.  Payloads are
+            grouped per source, the unit A1 stages.
             """
             payloads = []
             for src in workers:
@@ -533,6 +542,7 @@ class ExpertParallelGroup:
                     g_experts, minlength=num_experts
                 ).astype(np.int64)
                 dst_of_row = owner_of[g_experts]
+                sends = []
                 for dst in workers:
                     if dst in dead_workers:
                         continue
@@ -543,22 +553,45 @@ class ExpertParallelGroup:
                     rows = shards[src][
                         token_ids[src][sorted_sel[rowsel]]
                     ]
-                    payloads.append((src, dst, rows, dst_counts))
+                    sends.append((dst, rows, dst_counts))
                     # Positions within the chunk's kept-order list —
                     # how D2 puts returned rows back in gate order.
                     return_map[(c, src, dst)] = order[rowsel]
+                if sends:
+                    payloads.append((src, sends))
             pending_dispatch[c] = payloads
 
+        def stage(sends: list) -> tuple:
+            """One pooled buffer for a worker's payloads of one chunk.
+
+            Each payload's codec roundtrip is copied into its own row
+            slice, so codec results are those of the payload alone.
+            Returns the buffer and ``(peer, slice, extra)`` per
+            payload.
+            """
+            total = sum(rows.shape[0] for _, rows, *_ in sends)
+            buf = pool.acquire((total, model_dim), np.float32)
+            parts = []
+            lo = 0
+            for peer, rows, *extra in sends:
+                part = buf[lo : lo + rows.shape[0]]
+                np.copyto(part, self._apply_codec(rows))
+                parts.append((peer, part, *extra))
+                lo += rows.shape[0]
+            return buf, parts
+
         def a2a_dispatch(c: int) -> None:
-            """A1: codec roundtrip + memcpy into a pooled staging buffer."""
+            """A1: per-payload codec roundtrip, memcpy into the source's
+            staging buffer."""
             wire_bytes = 0
-            for src, dst, rows, counts in pending_dispatch.pop(c):
-                buf = pool.take_copy(self._apply_codec(rows))
+            for src, sends in pending_dispatch.pop(c):
+                buf, parts = stage(sends)
                 dispatch_staged.setdefault(c, []).append(buf)
-                dispatch_traffic[src, dst] += buf.nbytes
-                if src != dst:
-                    wire_bytes += buf.nbytes
-                inbox.setdefault((c, dst), []).append((src, buf, counts))
+                for dst, part, counts in parts:
+                    dispatch_traffic[src, dst] += part.nbytes
+                    if src != dst:
+                        wire_bytes += part.nbytes
+                    inbox.setdefault((c, dst), []).append((src, part, counts))
             self._occupy_link(wire_bytes)
 
         def decompress_dispatch(c: int) -> None:
@@ -611,29 +644,32 @@ class ExpertParallelGroup:
                 expert_out[(c, dst)] = (out_rows, back_index)
 
         def compress_combine(c: int) -> None:
-            """C2: split results back per source, in payload row order."""
-            returns = []
+            """C2: split results back per source, in payload row order,
+            grouped per receiving source."""
+            returns: Dict[int, list] = {}
             for dst in workers:
                 item = expert_out.pop((c, dst), None)
                 if item is None:
                     continue
                 out_rows, back_index = item
                 for src, idx in back_index:
-                    returns.append((dst, src, out_rows[idx]))
+                    returns.setdefault(src, []).append((dst, out_rows[idx]))
             pending_return[c] = returns
 
         def a2a_combine(c: int) -> None:
-            """A2: codec roundtrip + pooled memcpy back to the owner."""
+            """A2: per-payload codec roundtrip, memcpy into the owner's
+            staging buffer."""
             for buf in dispatch_staged.pop(c, ()):
                 pool.release(buf)
             wire_bytes = 0
-            for dst, src, rows in pending_return.pop(c):
-                buf = pool.take_copy(self._apply_codec(rows))
+            for src, sends in pending_return.pop(c).items():
+                buf, parts = stage(sends)
                 combine_staged.append(buf)
-                combine_traffic[dst, src] += buf.nbytes
-                if src != dst:
-                    wire_bytes += buf.nbytes
-                returned.setdefault((c, src), []).append((dst, buf))
+                for dst, part in parts:
+                    combine_traffic[dst, src] += part.nbytes
+                    if src != dst:
+                        wire_bytes += part.nbytes
+                returned[(c, src)] = parts
             self._occupy_link(wire_bytes)
 
         def decompress_combine(c: int) -> None:

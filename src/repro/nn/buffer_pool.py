@@ -1,11 +1,11 @@
 """A reusable pool of numpy buffers for the pipelined dispatch path.
 
-The chunked expert-parallel executor moves one flat ``(n, M)`` payload
-per (source, destination, chunk) triple through each all-to-all — with
-``r`` chunks over ``P`` workers that is up to ``2 r P^2`` short-lived
-arrays per forward pass.  Allocating them fresh every chunk churns the
-allocator on exactly the path we are trying to overlap; the real
-system (like any NCCL-based A2A) reuses pinned staging buffers
+The chunked expert-parallel executor stages one flat ``(n, M)`` buffer
+per (worker, chunk) in each all-to-all, every payload of that worker in
+its own row slice — with ``r`` chunks over ``P`` workers that is up to
+``2 r P`` short-lived arrays per forward pass.  Allocating them fresh
+every chunk churns the allocator on exactly the path we are trying to
+overlap; the real system (like any NCCL-based A2A) reuses pinned staging buffers
 instead.  :class:`BufferPool` is that staging area: ``acquire`` hands
 out a pooled array of the requested shape/dtype when one is free and
 allocates otherwise, ``release`` returns it for reuse.
@@ -116,17 +116,6 @@ class BufferPool:
         with self._lock:
             self._out[id(view)] = (weakref.ref(view), key)
         return view
-
-    def take_copy(self, array: np.ndarray) -> np.ndarray:
-        """A pooled buffer holding a copy of ``array`` — the A2A handoff.
-
-        This is the memcpy into the staging buffer: the caller keeps no
-        obligation to ``array`` afterwards, and the returned buffer goes
-        back via :meth:`release` once the receiver has drained it.
-        """
-        buf = self.acquire(array.shape, array.dtype)
-        np.copyto(buf, array)
-        return buf
 
     def release(self, array: np.ndarray) -> None:
         """Return a buffer that :meth:`acquire` handed out, for reuse.

@@ -25,9 +25,9 @@ def relu(x: Tensor) -> Tensor:
     """max(x, 0)."""
     if is_inference():
         # No backward, so no mask array; np.maximum matches the
-        # masked-where result everywhere on finite inputs (both return
-        # +0.0 for x = -0.0; they differ only on NaN, which where()
-        # silently mapped to 0.0 and maximum propagates).
+        # training-mode fmax everywhere on finite inputs (both return
+        # +0.0 for x = -0.0; they differ only on NaN, which fmax maps
+        # to 0.0 and maximum propagates).
         return Tensor(
             np.maximum(x.data, np.float32(0.0), out=_arena_out(x.shape))
         )
@@ -36,7 +36,10 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         return ((x, g * mask),)
 
-    return x._make(np.where(mask, x.data, 0.0), (x,), backward)
+    # fmax returns the non-NaN operand and +0.0 for x = -0.0: bit for
+    # bit the masked np.where(mask, x, 0.0) on every float32, without
+    # where()'s branchy select on a random mask.
+    return x._make(np.fmax(x.data, np.float32(0.0)), (x,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:

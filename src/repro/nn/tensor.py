@@ -716,20 +716,40 @@ def scatter_add(
 _BUCKET_ROW_ELEMS = 4096
 
 
+def _fold_rows(rows: np.ndarray, axis: int) -> np.ndarray:
+    """Sum ``rows`` along ``axis`` as one sequential fold from +0.0.
+
+    ``((0 + r[0]) + r[1]) + ...`` in row order — exactly what a row
+    scatter-add of each row into a zero buffer computes.  numpy folds
+    a reduced axis row by row only while it is not the innermost one
+    in memory; along contiguous memory (a single output column, or a
+    non-row-major ``rows``) it would switch to pairwise summation.
+    ``accumulate`` is sequential in any layout, and its last prefix
+    plus +0.0 equals the fold from +0.0 (they differ only on an
+    all-``-0.0`` column, whose sum the final ``+ 0`` turns to +0.0).
+    """
+    if rows.shape[-1] > 1:
+        return np.add.reduce(np.ascontiguousarray(rows), axis=axis, initial=0)
+    last = np.add.accumulate(rows, axis=axis).take(-1, axis=axis)
+    return last + np.float32(0)
+
+
 def segment_matmul(
     x: Tensor,
     weight: Tensor,
     segment_counts: np.ndarray,
     bucketed: bool = True,
+    bias: Optional[Tensor] = None,
 ) -> Tensor:
     """Differentiable per-segment matmul against a stacked weight bank.
 
     ``x`` is ``(N, K)`` whose rows are grouped into E contiguous
     segments (``segment_counts[e]`` rows each, summing to N) and
     ``weight`` a stacked ``(E, K, J)`` bank; segment e's rows multiply
-    ``weight[e]``:
+    ``weight[e]`` and, when the optional ``(E, J)`` ``bias`` is given,
+    add ``bias[e]``:
 
-    ``out[start_e : start_e + counts[e]] = x[same] @ weight[e]``
+    ``out[start_e : start_e + counts[e]] = x[same] @ weight[e] + bias[e]``
 
     This is the capacity-free MoE expert step: routed token rows
     sorted by expert flow through each expert's weight without ever
@@ -740,12 +760,22 @@ def segment_matmul(
     each segment GEMM is bit-identical to the per-expert reference
     ``x_seg @ weight[e]``.
 
+    The bias is the GEMM's epilogue: each segment's (or stacked
+    bucket's) product gets ``bias[e]`` added in place right after it
+    is computed — the same single float32 add per element as adding a
+    per-row gathered ``bias[expert_of_row]`` tensor, without that
+    ``(N, J)`` temporary, its add node or its row-scatter backward.
+
     The backward accumulates per-segment gradients into the stacked
     bank with the exact adjoints of each slice —
 
     * ``grad_x[seg_e] = g[seg_e] @ weight[e]^T``
     * ``grad_w[e]     = x[seg_e]^T @ g[seg_e]``  (zero for empty
       segments)
+    * ``grad_b[e]     = sum of g[seg_e]`` as one sequential fold in row
+      order from +0.0 (zero for empty segments) — bit for bit what a
+      gather's scatter-add backward accumulates for the repeated
+      index ``e``
 
     — so one tape node covers the whole bank, over ragged row groups
     instead of a fixed capacity dimension.
@@ -790,6 +820,15 @@ def segment_matmul(
         raise ValueError(
             f"segment_counts sum {int(counts.sum())} != rows {x.shape[0]}"
         )
+    operands = (x, weight)
+    if bias is not None:
+        bias = Tensor._lift(bias)
+        expected = (weight.shape[0], weight.shape[2])
+        if bias.shape != expected:
+            raise ValueError(
+                f"bias must be {expected} (E, J), got {bias.shape}"
+            )
+        operands = (x, weight, bias)
     offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
     occupied = np.nonzero(counts)[0]
 
@@ -815,10 +854,15 @@ def segment_matmul(
 
     data = scratch_empty((x.shape[0], weight.shape[2]), np.float32)
     for experts, rows in batched:
-        data[rows] = np.matmul(x.data[rows], weight.data[experts])
+        stacked = np.matmul(x.data[rows], weight.data[experts])
+        if bias is not None:
+            stacked += bias.data[experts][:, None, :]
+        data[rows] = stacked
     for e in singles:
         lo, hi = offsets[e], offsets[e + 1]
         np.matmul(x.data[lo:hi], weight.data[e], out=data[lo:hi])
+        if bias is not None:
+            data[lo:hi] += bias.data[e]
 
     def backward(g):
         grad_x = np.empty_like(x.data)
@@ -826,6 +870,9 @@ def segment_matmul(
         # ones need their zero gradient.
         grad_w = np.empty_like(weight.data)
         grad_w[counts == 0] = 0.0
+        if bias is not None:
+            grad_b = np.empty_like(bias.data)
+            grad_b[counts == 0] = 0.0
         for experts, rows in batched:
             g_b = g[rows]
             grad_x[rows] = np.matmul(
@@ -834,14 +881,20 @@ def segment_matmul(
             grad_w[experts] = np.matmul(
                 np.swapaxes(x.data[rows], -1, -2), g_b
             )
+            if bias is not None:
+                grad_b[experts] = _fold_rows(g_b, axis=1)
         for e in singles:
             lo, hi = offsets[e], offsets[e + 1]
             np.matmul(g[lo:hi], weight.data[e].T, out=grad_x[lo:hi])
             np.matmul(x.data[lo:hi].T, g[lo:hi], out=grad_w[e])
-        return ((x, grad_x), (weight, grad_w))
+            if bias is not None:
+                grad_b[e] = _fold_rows(g[lo:hi], axis=0)
+        if bias is None:
+            return ((x, grad_x), (weight, grad_w))
+        return ((x, grad_x), (weight, grad_w), (bias, grad_b))
 
-    if Tensor._needs_grad(x, weight):
-        return Tensor(data, _parents=(x, weight), _backward=backward)
+    if Tensor._needs_grad(*operands):
+        return Tensor(data, _parents=operands, _backward=backward)
     return Tensor(data)
 
 

@@ -14,7 +14,9 @@ import threading
 from collections import Counter, defaultdict
 
 import numpy as np
+import pytest
 
+from repro.compression.zfp import Zfp16Compressor
 from repro.models.gpt2_tiny import TransformerLM
 from repro.moe import MoELayer
 from repro.moe.parallel import ExpertParallelGroup
@@ -110,11 +112,13 @@ def _idle_per_class(pool):
 def test_expert_parallel_inference_pools_hold_only_peak_demand():
     """Each class holds its largest single-step demand, nothing more.
 
-    Per-(source, destination) payloads are a few dozen rows, so their
-    counts straddle class boundaries and a class's peak demand can
-    still set a new record late in the run.  What must hold from the
-    first step on is that neither pool keeps more idle buffers of a
-    class than the most that any one step checked out at once.
+    At ``capacity_factor=1.0`` drops vary from batch to batch, so even
+    a source's whole staged chunk changes size, and the arena's
+    per-destination blocks are a few dozen rows: counts straddle class
+    boundaries and a class's peak demand can still set a new record
+    late in the run.  What must hold from the first step on is that
+    neither pool keeps more idle buffers of a class than the most that
+    any one step checked out at once.
     """
     layer = MoELayer(
         model_dim=32,
@@ -155,3 +159,45 @@ def test_expert_parallel_inference_pools_hold_only_peak_demand():
             stats = probe.pool.stats()
             assert stats["idle_buffers"] == stats["misses"]  # none leaked
     assert len(set(routed)) >= 4  # routed row counts change
+
+
+@pytest.mark.parametrize("inference", [False, True])
+def test_expert_parallel_staging_pool_is_flat_without_drops(inference):
+    """Staging is one buffer per (source, chunk) and (receiver, chunk).
+
+    Without capacity drops a source's kept rows per chunk are its
+    chunk's tokens times k, whatever the routing, so the staging
+    pool's buffer sizes repeat exactly: every miss happens in the
+    first step, on distinct batches, overlapped or not.  (Per-(source,
+    destination) payloads would still drift across size classes.)
+    """
+    layer = MoELayer(
+        model_dim=32,
+        hidden_dim=48,
+        num_experts=8,
+        rng=np.random.default_rng(0),
+        top_k=2,
+        capacity_factor=2.0,
+        compressor=Zfp16Compressor(),
+    )
+    group = ExpertParallelGroup(
+        layer, num_workers=4, pipeline="overlap", num_chunks=4,
+        scheduler="optsche",
+    )
+    run = group.forward_inference if inference else group.forward
+    rng = np.random.default_rng(1)
+    history, payloads = [], set()
+    for _ in range(STEPS):
+        shards = [
+            rng.standard_normal((96, 32)).astype(np.float32)
+            for _ in range(4)
+        ]
+        run(shards)
+        # No capacity drops: all 4 * 96 * k rows of 32 float32 moved.
+        assert group.last_dispatch_traffic.total_bytes == 4 * 96 * 2 * 32 * 4
+        payloads.add(group.last_dispatch_traffic.matrix.tobytes())
+        stats = group._pool.stats()
+        history.append((stats["misses"], stats["keys"]))
+    # Per-(source, destination) traffic really does change.
+    assert len(payloads) >= 4
+    assert all(h == history[0] for h in history), history

@@ -60,18 +60,6 @@ def test_size_class_rounding_is_monotone_and_bounded():
         }
 
 
-def test_take_copy_copies():
-    pool = BufferPool()
-    src = np.arange(12, dtype=np.float32).reshape(3, 4)
-    buf = pool.take_copy(src)
-    assert buf is not src
-    np.testing.assert_array_equal(buf, src)
-    src[:] = -1.0  # the staged copy is independent of the source
-    np.testing.assert_array_equal(
-        buf, np.arange(12, dtype=np.float32).reshape(3, 4)
-    )
-
-
 def test_distinct_keys_do_not_mix():
     pool = BufferPool()
     pool.release(pool.acquire((2, 2), np.float32))
@@ -274,7 +262,7 @@ def test_release_rejects_non_arrays():
 def test_release_accepts_owned_contiguous_arrays():
     """The arrays the pool itself hands out always pass validation."""
     pool = BufferPool()
-    buf = pool.take_copy(np.ones((2, 6), dtype=np.float32))
+    buf = pool.acquire((2, 6), np.float32)
     pool.release(buf)  # no raise
     assert pool.idle_buffers() == 1
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn import Tensor, functional as F
 
+from .step_oracle import where_relu
 from .test_tensor import check_grads
 
 
@@ -15,6 +16,32 @@ def x(rng):
 
 def test_relu(x):
     check_grads(lambda t: F.relu(t), x + 0.01)  # avoid kink at 0
+
+
+def test_training_relu_matches_where_oracle_bitwise(rng):
+    """The training-mode ReLU equals the masked ``np.where`` form on
+    every float32 class — NaN of both signs, signed zeros, infinities,
+    subnormals — and on a random ~50% mask, forward and backward."""
+    f32 = np.finfo(np.float32)
+    special = np.array(
+        [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.5, -1.5,
+         f32.smallest_subnormal, -f32.smallest_subnormal, f32.max, f32.min],
+        dtype=np.float32,
+    )
+    block = rng.standard_normal((64, 64)).astype(np.float32)
+    for data in (special, block):
+        seed = rng.standard_normal(data.shape).astype(np.float32)
+        results = []
+        for relu in (F.relu, where_relu):
+            t = Tensor(data.copy(), requires_grad=True)
+            out = relu(t)
+            out.backward(seed)
+            results.append((out.data, t.grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(
+                got.view(np.uint32), want.view(np.uint32)
+            )
 
 
 def test_gelu(x):

@@ -4,13 +4,17 @@
 composition of plain 2-d matmuls — forward bit-identical to slicing,
 backward the exact adjoint of each slice (per-segment input grads, and
 per-segment weight grads accumulated into the stacked bank with empty
-segments receiving exactly zero).
+segments receiving exactly zero).  Its ``bias=`` epilogue must be bit for
+bit the per-row ``gather`` + add composition it replaces, forward and
+every gradient.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, segment_matmul
+from repro.nn import Tensor, gather, segment_matmul
 
 
 def reference(x, w, counts):
@@ -153,3 +157,84 @@ def test_validation_errors(rng):
         segment_matmul(
             Tensor(np.zeros((2, 2, 3), np.float32)), w, np.array([1, 1])
         )  # x must be 2-d
+
+
+def _gather_add(x, w, b, counts, bucketed):
+    """The unfused composition: bias gathered per row, then added."""
+    expert_of_row = np.repeat(np.arange(len(counts)), counts)
+    return segment_matmul(x, w, counts, bucketed=bucketed) + gather(
+        b, expert_of_row
+    )
+
+
+@pytest.mark.parametrize("bucketed", [True, False])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "counts, j, zero_column",
+    [
+        ([3, 3, 3, 3], 5, True),  # one 4-wide bucket
+        ([2, 5, 2, 5, 2], 5, True),  # two buckets, interleaved members
+        ([4, 0, 4, 1, 0], 5, True),  # empty segments and a singleton
+        ([0, 0, 0], 5, True),  # no rows at all
+        ([40, 0, 37], 5, True),  # long single segments
+        ([7], 5, True),  # one segment, nothing to bucket
+        ([6, 6, 300, 0], 1, False),  # one output column
+        ([6, 6, 300, 0], 1, True),  # one output column, all -0.0
+    ],
+)
+def test_bias_epilogue_matches_gather_add_bitwise(
+    rng, counts, j, zero_column, order, bucketed
+):
+    """Forward and all three grads equal the gather + add composition as
+    uint32 bit patterns — signed zeros included: the upstream gradient
+    has scattered -0.0 entries (and, with ``zero_column``, an
+    all--0.0 first column), and arrives row-major or column-major."""
+    counts = np.asarray(counts)
+    n, e = int(counts.sum()), len(counts)
+    x = rng.standard_normal((n, 6)).astype(np.float32)
+    w = rng.standard_normal((e, 6, j)).astype(np.float32)
+    b = rng.standard_normal((e, j)).astype(np.float32)
+    seed = rng.standard_normal((n, j)).astype(np.float32)
+    seed *= np.float32(10.0) ** rng.integers(-3, 4, size=j).astype(np.float32)
+    seed[rng.random((n, j)) < 0.2] = -0.0
+    if zero_column:
+        seed[:, 0] = -0.0
+    seed = np.asarray(seed, order=order)
+
+    results = []
+    for fused in (True, False):
+        xs = Tensor(x.copy(), requires_grad=True)
+        ws = Tensor(w.copy(), requires_grad=True)
+        bs = Tensor(b.copy(), requires_grad=True)
+        if fused:
+            out = segment_matmul(xs, ws, counts, bucketed=bucketed, bias=bs)
+        else:
+            out = _gather_add(xs, ws, bs, counts, bucketed)
+        out.backward(seed.copy(order=order))
+        results.append((np.array(out.data), xs.grad, ws.grad, bs.grad))
+
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(
+            got.view(np.uint32), want.view(np.uint32)
+        )
+    # Empty segments get exactly +0.0 bias gradient.
+    assert not results[0][3][counts == 0].view(np.uint32).any()
+
+
+def test_bias_only_operand_needs_grad(rng):
+    """A bias that requires grad alone still records the tape node."""
+    x = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
+    w = Tensor(rng.standard_normal((2, 2, 4)).astype(np.float32))
+    b = Tensor(np.zeros((2, 4), np.float32), requires_grad=True)
+    segment_matmul(x, w, np.array([1, 2]), bias=b).sum().backward()
+    np.testing.assert_array_equal(b.grad, [[1.0] * 4, [2.0] * 4])
+
+
+@pytest.mark.parametrize("shape", [(2,), (5,), (1, 5), (2, 1, 5), (3, 5)])
+def test_bias_shape_validation(rng, shape):
+    x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
+    w = Tensor(rng.standard_normal((2, 3, 5)).astype(np.float32))
+    bias = Tensor(np.zeros(shape, np.float32))
+    with pytest.raises(ValueError, match=r"\(2, 5\).*got " + re.escape(str(shape))):
+        segment_matmul(x, w, np.array([2, 2]), bias=bias)

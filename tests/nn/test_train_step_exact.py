@@ -2,9 +2,10 @@
 
 A small MoE ``TransformerLM`` trains for a few full steps (zero_grad,
 loss, backward, clip, Adam) twice: on the production kernels, and with
-the former ``np.add.at`` row scatter and whole-array ``Adam.step``
-patched back in from :mod:`.step_oracle`.  Every parameter must come
-out byte-identical.
+the former ``np.add.at`` row scatter, whole-array ``Adam.step``,
+unfused expert FFN (gathered per-row biases plus separate adds) and
+``np.where`` ReLU patched back in from :mod:`.step_oracle`.  Every
+parameter must come out byte-identical.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import repro.moe.parallel
 import repro.nn.functional
 import repro.nn.tensor
 from repro.models import TransformerLM
+from repro.moe.experts import Experts
 from repro.nn import Adam, clip_grad_norm
 from repro.nn.optim import _ADAM_BLOCK
 
@@ -55,9 +57,18 @@ def test_train_steps_match_add_at_and_whole_array_adam(monkeypatch):
     for module in (repro.nn.tensor, repro.nn.functional, repro.moe.parallel):
         monkeypatch.setattr(module, "add_rows_at", counted_add_at)
     monkeypatch.setattr(Adam, "step", step_oracle.whole_array_adam_step)
+    unfused = []
+
+    def counted_run_grouped(self, rows, segment_counts):
+        unfused.append(rows.shape[0])
+        return step_oracle.unfused_run_grouped(self, rows, segment_counts)
+
+    monkeypatch.setattr(Experts, "run_grouped", counted_run_grouped)
+    monkeypatch.setattr(repro.nn.functional, "relu", step_oracle.where_relu)
     reference = _train(tokens)
 
     assert calls, "the oracle scatter was never reached"
+    assert unfused, "the unfused expert FFN was never reached"
     assert len(fast) == len(reference)
     for got, want in zip(fast, reference):
         assert got.tobytes() == want.tobytes()
